@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import verify as verification
-from .derivatives import deriv_expand_recurrence
+from .derivatives import deriv_expand_closed
 from .polynomials import differentiate, legendre_bonnet
 from .rationals import format_rational, parse_rational
 from .scaling import (
@@ -137,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         for n in range(args.n_max + 1):
             for k in range(n + 1):
-                expansion = deriv_expand_recurrence(n, k)
+                expansion = deriv_expand_closed(n, k)
                 rows.extend(
                     {"n": n, "k": k, "i": i, "value": a} for i, a in enumerate(expansion.alphas)
                 )
@@ -197,7 +197,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         if args.k is None:
             raise UsageError("--k is required for derivative expansions")
-        derivative = deriv_expand_recurrence(args.n, args.k)
+        derivative = deriv_expand_closed(args.n, args.k)
         if spec.format == "csv":
             text = _csv_text(
                 ["degree", "value"],
@@ -396,3 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def run() -> None:
     """Console-script entry point."""
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -2,14 +2,21 @@
 
 d^k/dx^k P_n = sum_{i=0}^{floor((n-k)/2)} alpha_{n-k-2i} * P_{n-k-2i}(x)
 
-Three independent routes produce the same alpha set:
+Four independent routes produce the same alpha set:
 
 * telescoping: unroll d/dx P_m = sum_{m' = m-1, m-3, ...} (2m'+1) P_{m'}
   k times, accumulating coefficients exactly;
 * triangular: match coefficients of both sides written as terminating
   series in z = (1-x)/2 and solve the resulting triangular system;
 * closed recurrence: evaluate each alpha from falling factorials and the
-  previously computed alphas.
+  previously computed alphas;
+* closed form: the Legendre case of Doha's formula for differentiated
+  ultraspherical expansions (Comput. Math. Appl. 21 (1991) 115-122). For
+  1 <= k <= n and m = n-k-2i every alpha is the integer
+
+      alpha_m = (2m+1) * C(k+i-1, i) * prod_{t=0}^{k-2} (2(n-k-i) + 3 + 2t).
+
+The closed form is the production route; the other three verify it.
 
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .polynomials import LegendreSeries
@@ -37,6 +44,7 @@ __all__ = [
     "deriv_expand_telescoping",
     "deriv_expand_triangular",
     "deriv_expand_recurrence",
+    "deriv_expand_closed",
     "murphy_deriv_series",
     "alpha_closed_recurrence",
 ]
@@ -205,7 +213,8 @@ def alpha_closed_recurrence(n: int, k: int, i: int) -> Fraction:
                      - sum_{l=0}^{i-1} (2(n-k-i-l))^(2(i-l)_)
                        / (2(i-l))^(2(i-l)_) * alpha_{n-k-2l}
 
-    with x^(m_) the falling factorial; the sum is empty at i = 0. Earlier
+    with x^(m_) the falling factorial; the sum is empty at i = 0, and each
+    ratio in it is the binomial C(2(n-k-i-l), 2(i-l)). Earlier
     alphas are memoized within the evaluation, never across calls.
     """
     _check_orders(n, k)
@@ -229,10 +238,7 @@ def _alpha_values(n: int, k: int, top_i: int) -> List[Fraction]:
         )
         correction = Fraction(0)
         for l in range(i):
-            correction += (
-                falling_factorial(2 * (n - k - i - l), 2 * (i - l))
-                / falling_factorial(2 * (i - l), 2 * (i - l))
-            ) * values[l]
+            correction += comb(2 * (n - k - i - l), 2 * (i - l)) * values[l]
         values.append(lead - correction)
     return values
 
@@ -243,3 +249,26 @@ def deriv_expand_recurrence(n: int, k: int) -> DerivExpansion:
     if k > n:
         return DerivExpansion(n, k, ())
     return DerivExpansion(n, k, tuple(_alpha_values(n, k, (n - k) // 2)))
+
+
+def deriv_expand_closed(n: int, k: int) -> DerivExpansion:
+    """Full expansion from the closed form, in integer arithmetic.
+
+    The odd-factor product for depth i+1 follows from the one for depth i:
+    multiply by 2(n-k-i)+1, then divide exactly by 2(n-i)-1.
+    """
+    _check_orders(n, k)
+    if k > n:
+        return DerivExpansion(n, k, ())
+    count = (n - k) // 2 + 1
+    if k == 0:
+        return DerivExpansion(n, 0, (Fraction(1),) + (Fraction(0),) * (count - 1))
+    odd_run = 1
+    for t in range(k - 1):
+        odd_run *= 2 * (n - k) + 3 + 2 * t
+    alphas: List[Fraction] = []
+    for i in range(count):
+        m = n - k - 2 * i
+        alphas.append(Fraction((2 * m + 1) * comb(k + i - 1, i) * odd_run))
+        odd_run = odd_run * (2 * (n - k - i) + 1) // (2 * (n - i) - 1)
+    return DerivExpansion(n, k, tuple(alphas))

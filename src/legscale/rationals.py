@@ -29,7 +29,8 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: `\d` and int() also accept other Unicode digits.
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:

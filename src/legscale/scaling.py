@@ -8,6 +8,14 @@ Two equivalent coefficient families:
   where each b_k collects the derivative-form contributions through the
   doubly-indexed weights alpha_nki.
 
+alpha_nki is the coefficient of P_{n-2k} in d^(k-i) P_{n-k+i}. It comes
+from the closed form of the derivative expansion (see `derivatives`; four
+independent routes agree on it), which for k >= 1 reads
+
+    alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t)
+
+in integers, so b_k costs O(k) integer work and no table is cached.
+
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
 P_n(0) is reachable).
@@ -17,18 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from math import comb, factorial
+from typing import List, Tuple
 
-from .rationals import (
-    RationalLike,
-    as_rational,
-    falling_factorial,
-    format_rational,
-    parse_rational,
-)
+from .rationals import RationalLike, as_rational, format_rational, parse_rational
 
 __all__ = [
     "FORM_DERIVATIVE",
@@ -45,8 +45,6 @@ __all__ = [
 
 FORM_DERIVATIVE = "derivative"
 FORM_LEGENDRE = "legendre"
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -117,32 +115,22 @@ def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
     )
 
 
-@lru_cache(maxsize=None)
-def _alpha_grid(n: int, kmax: int) -> Mapping[Tuple[int, int], Fraction]:
-    """Doubly-indexed weights alpha_nki for all 0 <= i <= k <= kmax.
+def _alpha_row(n: int, k: int) -> List[int]:
+    """alpha_nki(n, k, i) for i = 0 ... k, in integer arithmetic.
 
-    Independent of lam, so the grid is cached per degree; the returned
-    mapping is read-only and every value immutable, keeping the cache
-    invisible to callers and safe to share between threads.
+    The odd-factor product gains one factor, 2(n-2k+i)+3, per step down
+    in i. The i = k entry goes through the same formula (C(k-1, k) = 0)
+    rather than being assumed zero.
     """
-    grid: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(kmax + 1):
-        for k in range(i, kmax + 1):
-            lead = (
-                Fraction(2) ** (k + i)
-                * falling_factorial(n - k + i - _HALF, k - i)
-                * falling_factorial(n - k, i)
-                * falling_factorial(n - 2 * k + 2 * i - _HALF, 2 * i)
-                / (falling_factorial(2 * i, 2 * i) * falling_factorial(n - k + i - _HALF, i))
-            )
-            correction = Fraction(0)
-            for l in range(i):
-                correction += (
-                    falling_factorial(2 * (n - 2 * k + i - l), 2 * (i - l))
-                    / falling_factorial(2 * (i - l), 2 * (i - l))
-                ) * grid[(k - i + l, l)]
-            grid[(k, i)] = lead - correction
-    return MappingProxyType(grid)
+    if k == 0:
+        return [1]
+    row = [0] * (k + 1)
+    odd_run = 1
+    for i in range(k, -1, -1):
+        if i <= k - 2:
+            odd_run *= 2 * (n - 2 * k + i) + 3
+        row[i] = (2 * (n - 2 * k) + 1) * comb(k - 1, i) * odd_run
+    return row
 
 
 def alpha_nki(n: int, k: int, i: int) -> Fraction:
@@ -150,26 +138,33 @@ def alpha_nki(n: int, k: int, i: int) -> Fraction:
 
     Semantically this is the coefficient of P_{n-2k} in the Legendre
     expansion of d^(k-i) P_{n-k+i}; in particular it is 1 at i = k = 0 and
-    0 at i = k >= 1 (the zeroth derivative expands trivially).
+    0 at i = k >= 1 (the zeroth derivative expands trivially). For k >= 1
+    the closed form gives
+
+        alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if not 0 <= i <= k <= n // 2:
         raise ValueError("indices must satisfy 0 <= i <= k <= floor(n/2)")
-    return _alpha_grid(n, n // 2)[(k, i)]
+    return Fraction(_alpha_row(n, k)[i])
 
 
 def _b_sum(factor: Fraction, n: int, k: int, top_i: int) -> Fraction:
-    grid = _alpha_grid(n, n // 2)
-    total = Fraction(0)
+    """sum_{i=0}^{top_i} a_coefficient(lam, n, k-i) * alpha_nki(n, k, i).
+
+    With lam = p/q every term shares the denominator q^n 2^k k!, so the sum
+    runs in integers and one Fraction is built at the end.
+    """
+    p, q = factor.numerator, factor.denominator
+    shift = p * p - q * q
+    row = _alpha_row(n, k)
+    total = 0
+    scale = 1  # 2^i k! / (k-i)!
     for i in range(top_i + 1):
-        weight = (
-            factor ** (n - 2 * k + 2 * i)
-            * (factor * factor - 1) ** (k - i)
-            / (Fraction(2) ** (k - i) * factorial(k - i))
-        )
-        total += weight * grid[(k, i)]
-    return total
+        total += p ** (n - 2 * k + 2 * i) * shift ** (k - i) * scale * row[i]
+        scale *= 2 * (k - i)
+    return Fraction(total, q ** n * 2 ** k * factorial(k))
 
 
 def b_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:

@@ -21,6 +21,7 @@ from math import factorial
 from typing import Dict, Optional, Sequence, Tuple
 
 from .derivatives import (
+    deriv_expand_closed,
     deriv_expand_recurrence,
     deriv_expand_telescoping,
     deriv_expand_triangular,
@@ -201,12 +202,12 @@ def _alphas_dump(expansion) -> Tuple[str, ...]:
 
 
 def verify_derivative_identity(n_max: int) -> VerificationReport:
-    """Check all three derivative-expansion routes against formal derivatives.
+    """Check all four derivative-expansion routes against formal derivatives.
 
-    For every 0 <= k <= n <= n_max the telescoping, triangular and
-    closed-recurrence expansions must agree coefficient by coefficient and,
-    rebuilt through the Legendre basis, must equal differentiate(P_n, k)
-    exactly. Orders k = n+1, n+2 are also swept: there the expansion is
+    For every 0 <= k <= n <= n_max the telescoping, triangular,
+    closed-recurrence and closed-form expansions must agree coefficient by
+    coefficient and, rebuilt through the Legendre basis, must equal
+    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there the expansion is
     empty and the derivative the zero polynomial.
     """
     if n_max < 0:
@@ -219,6 +220,7 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
                 "telescoping": deriv_expand_telescoping(n, k),
                 "triangular": deriv_expand_triangular(n, k),
                 "recurrence": deriv_expand_recurrence(n, k),
+                "closed": deriv_expand_closed(n, k),
             }
             base = routes["telescoping"]
             for name, other in routes.items():

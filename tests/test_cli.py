@@ -1,5 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import legscale.verify
 from legscale import ScalingExpansion, expand_derivative_form
@@ -71,6 +78,11 @@ class TestTable:
     def test_unparseable_lambda_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "table", "b", "--lambda", "1.5", "--n-max", "2")
         assert code == 2
+
+    def test_non_ascii_lambda_is_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "b", "--lambda", "\u0663", "--n-max", "2")
+        assert code == 2
+        assert out == ""
 
     def test_bad_digits_is_usage_error(self, capsys):
         for digits in ("0", "51"):
@@ -265,3 +277,47 @@ class TestDeterminism:
     def test_table_determinism(self, capsys):
         argv = ("table", "alpha", "--n-max", "6", "--format", "json")
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+# sha256 of stdout for invocations whose output must never change; the
+# values were recorded before the closed-form alpha replaced the recurrence
+# on the production paths.
+GOLDEN_STDOUT = {
+    ("table", "b", "--n-max", "40", "--lambda", "17/7"):
+        "3d80bd1568bef361801ce8ed28ae821871c0e044981146b7cc2c05e5c927177c",
+    ("table", "alpha", "--n-max", "32"):
+        "000473a4dddb274ffb055dd94ceb5b68ecfe328efdab0d2082f85a35eeef239e",
+    ("expand", "scaled", "--form", "legendre", "--n", "60", "--lambda", "-16/7"):
+        "cce501bee4ba40ec146f5b68eb11e2669f034d69fa610037a44b87bfdd4ae0f3",
+    ("expand", "deriv", "--k", "5", "--n", "160"):
+        "0723991aed72624d4a14dcaee2dfb73a4cafbe1479a9205844a0988164d9f47e",
+    ("eval", "--method", "b-form", "--n", "64", "--lambda", "17/7", "--x", "3/8"):
+        "e5ab6f9f809848fdd1388d8f9dde112b84f2caf9b530c31a85e927aa3371e2a0",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+    def test_stdout_is_byte_identical(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+class TestModuleEntryPoints:
+    README_TABLE_B = "n,k,value\n0,0,1\n1,0,2\n2,0,4\n2,1,3/2\n"
+
+    @pytest.mark.parametrize("module", ["legscale", "legscale.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-m", module, "table", "b", "--lambda", "2", "--n-max", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == self.README_TABLE_B

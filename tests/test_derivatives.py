@@ -7,6 +7,7 @@ from legscale import (
     DerivExpansion,
     Poly,
     alpha_closed_recurrence,
+    deriv_expand_closed,
     deriv_expand_recurrence,
     deriv_expand_telescoping,
     deriv_expand_triangular,
@@ -19,7 +20,12 @@ from legscale import (
 
 HALF = Fraction(1, 2)
 
-ROUTES = (deriv_expand_telescoping, deriv_expand_triangular, deriv_expand_recurrence)
+ROUTES = (
+    deriv_expand_telescoping,
+    deriv_expand_triangular,
+    deriv_expand_recurrence,
+    deriv_expand_closed,
+)
 
 
 def z_coefficients(p: Poly, count: int):
@@ -132,6 +138,23 @@ class TestClosedRecurrence:
                     assert shifted_degree_alpha(n, k, i, memo) == alpha_closed_recurrence(
                         n - k, k, i
                     ), (n, k, i)
+
+
+class TestClosedForm:
+    def test_matches_the_routes_it_replaces(self):
+        # The closed form replaced the recurrence on every production path;
+        # it must equal both the telescoping and the recurrence route.
+        for n in range(41):
+            for k in range(n + 3):
+                closed = deriv_expand_closed(n, k)
+                assert closed == deriv_expand_telescoping(n, k), (n, k)
+                assert closed == deriv_expand_recurrence(n, k), (n, k)
+
+    def test_index_validation(self):
+        with pytest.raises(ValueError):
+            deriv_expand_closed(-1, 0)
+        with pytest.raises(ValueError):
+            deriv_expand_closed(3, -1)
 
 
 class TestCrossRoute:

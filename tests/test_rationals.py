@@ -96,7 +96,10 @@ def test_format_shortens_integers():
     assert format_rational(Fraction(6, 4)) == "3/2"
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1e3", "3/0", "a/b", "1/2/3", "--4"])
+# "\u0663" is an Arabic-Indic 3 and "\uff13" a fullwidth 3: only ASCII digits count
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1e3", "3/0", "a/b", "1/2/3", "--4", "\u0663", "\uff13/\u0667"]
+)
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

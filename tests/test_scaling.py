@@ -13,6 +13,7 @@ from legscale import (
     b_coefficient,
     b_coefficient_untruncated,
     deriv_expand_recurrence,
+    deriv_expand_telescoping,
     differentiate,
     expand_derivative_form,
     expand_legendre_form,
@@ -90,12 +91,16 @@ class TestAlphaNki:
 
     def test_matches_derivative_expansion_coefficient(self):
         # alpha_nki(n, k, i) is the coefficient of P_{n-2k} in the expansion
-        # of d^(k-i) P_{n-k+i}
-        for n in range(15):
+        # of d^(k-i) P_{n-k+i}; the telescoping route is the oracle
+        expansions = {}
+        for n in range(31):
             for k in range(n // 2 + 1):
                 for i in range(k + 1):
-                    expansion = deriv_expand_recurrence(n - k + i, k - i)
-                    assert alpha_nki(n, k, i) == expansion.alpha_for_degree(n - 2 * k), (n, k, i)
+                    key = (n - k + i, k - i)
+                    if key not in expansions:
+                        expansions[key] = deriv_expand_telescoping(*key)
+                    expected = expansions[key].alpha_for_degree(n - 2 * k)
+                    assert alpha_nki(n, k, i) == expected, (n, k, i)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
