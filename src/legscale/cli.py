@@ -13,22 +13,23 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import verify as verification
 from .derivatives import deriv_expand_closed
-from .polynomials import differentiate, legendre_bonnet
+from .polynomials import legendre_bonnet
 from .rationals import format_rational, parse_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
+    ScalingExpansion,
+    basis_polynomial,
     expand_derivative_form,
     expand_legendre_form,
 )
 
-__all__ = ["main", "run", "OutputSpec", "format_decimal"]
+__all__ = ["main", "run", "format_decimal"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -41,15 +42,6 @@ SUITES = ("all", "eq9", "eq13", "eq19", "eq26", "replay")
 
 class UsageError(Exception):
     """Bad arguments detected after parsing; mapped to exit code 2."""
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how structured output is written."""
-
-    format: str  # "json" | "csv"
-    destination: Optional[str]  # None -> stdout
-    float_digits: Optional[int]  # 1..50 when present
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
@@ -65,8 +57,15 @@ def format_decimal(value: Fraction, digits: int) -> str:
     return text + "0" if text.endswith(".") else text
 
 
+def _ascii_int(text: str) -> int:
+    """int() for ASCII text only, so "\u0663" is refused instead of read as 3."""
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = _ascii_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -81,6 +80,8 @@ def _parse_lambda(text: str) -> Fraction:
 
 def _parse_point(text: str) -> Fraction:
     try:
+        if not text.isascii():
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"invalid evaluation point: {text!r}") from None
@@ -91,11 +92,11 @@ def _check_digits(digits: int) -> None:
         raise UsageError("digits must lie in 1..50")
 
 
-def _emit(spec: OutputSpec, text: str) -> None:
-    if spec.destination is None or spec.destination == "-":
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(spec.destination, "w", encoding="utf-8", newline="") as handle:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
@@ -111,83 +112,64 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _output_spec(args: argparse.Namespace, float_digits: Optional[int] = None) -> OutputSpec:
-    if float_digits is not None:
-        _check_digits(float_digits)
-    return OutputSpec(format=args.format, destination=args.output, float_digits=float_digits)
+def _scaling_expansion(form: str, lam: Fraction, n: int) -> ScalingExpansion:
+    expand = expand_derivative_form if form == FORM_DERIVATIVE else expand_legendre_form
+    return expand(lam, n)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    spec = _output_spec(args, args.digits)
+    if args.digits is not None:
+        _check_digits(args.digits)
     lam: Optional[Fraction] = None
-    if args.kind in ("a", "b"):
-        if args.lam is None:
-            raise UsageError(f"--lambda is required for kind {args.kind!r}")
+    if args.kind == "alpha":
+        if args.lam is not None:
+            raise UsageError("--lambda does not apply to kind 'alpha'")
+    elif args.lam is None:
+        raise UsageError(f"--lambda is required for kind {args.kind!r}")
+    else:
         lam = _parse_lambda(args.lam)
 
-    rows: List[Dict[str, object]] = []
-    if args.kind == "a":
-        for n in range(args.n_max + 1):
-            expansion = expand_derivative_form(lam, n)
-            rows.extend({"n": n, "k": k, "value": c} for k, c in enumerate(expansion.coeffs))
-    elif args.kind == "b":
-        for n in range(args.n_max + 1):
-            expansion = expand_legendre_form(lam, n)
-            rows.extend({"n": n, "k": k, "value": c} for k, c in enumerate(expansion.coeffs))
-    else:
-        for n in range(args.n_max + 1):
-            for k in range(n + 1):
-                expansion = deriv_expand_closed(n, k)
-                rows.extend(
-                    {"n": n, "k": k, "i": i, "value": a} for i, a in enumerate(expansion.alphas)
-                )
+    def row(value: Fraction, **index: int) -> Dict[str, object]:
+        cells: Dict[str, object] = {**index, "value": format_rational(value)}
+        if args.digits is not None:
+            cells["float"] = format_decimal(value, args.digits)
+        return cells
 
-    index_cols = ("n", "k", "i") if args.kind == "alpha" else ("n", "k")
-    if spec.format == "csv":
-        header = list(index_cols) + ["value"]
-        if spec.float_digits:
-            header.append("float")
-        table_rows = []
-        for row in rows:
-            cells: List[object] = [row[c] for c in index_cols]
-            cells.append(format_rational(row["value"]))
-            if spec.float_digits:
-                cells.append(format_decimal(row["value"], spec.float_digits))
-            table_rows.append(cells)
-        text = _csv_text(header, table_rows)
+    rows: List[Dict[str, object]] = []
+    for n in range(args.n_max + 1):
+        if args.kind == "alpha":
+            for k in range(n + 1):
+                alphas = deriv_expand_closed(n, k).alphas
+                rows.extend(row(a, n=n, k=k, i=i) for i, a in enumerate(alphas))
+        else:
+            form = FORM_DERIVATIVE if args.kind == "a" else FORM_LEGENDRE
+            coeffs = _scaling_expansion(form, lam, n).coeffs
+            rows.extend(row(c, n=n, k=k) for k, c in enumerate(coeffs))
+
+    if args.format == "csv":  # n = 0 always yields a row, so rows[0] names the columns
+        text = _csv_text(list(rows[0]), [list(r.values()) for r in rows])
     else:
-        payload_rows = []
-        for row in rows:
-            obj: Dict[str, object] = {c: row[c] for c in index_cols}
-            obj["value"] = format_rational(row["value"])
-            if spec.float_digits:
-                obj["float"] = format_decimal(row["value"], spec.float_digits)
-            payload_rows.append(obj)
         text = _json_text(
             {
                 "kind": args.kind,
                 "lambda": format_rational(lam) if lam is not None else None,
                 "n_max": args.n_max,
-                "rows": payload_rows,
+                "rows": rows,
             }
         )
-    _emit(spec, text)
+    _emit(args, text)
     return EXIT_OK
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    spec = _output_spec(args)
     if args.what == "scaled":
         if args.lam is None:
             raise UsageError("--lambda is required for scaled expansions")
         if args.k is not None and args.k > args.n // 2:
             raise UsageError(f"k must lie in 0 ... {args.n // 2} for scaled expansions")
         lam = _parse_lambda(args.lam)
-        if args.form == FORM_DERIVATIVE:
-            expansion = expand_derivative_form(lam, args.n)
-        else:
-            expansion = expand_legendre_form(lam, args.n)
-        if spec.format == "csv":
+        expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
+        if args.format == "csv":
             text = _csv_text(
                 ["k", "value"],
                 [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)],
@@ -197,8 +179,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         if args.k is None:
             raise UsageError("--k is required for derivative expansions")
+        for flag, value in (("--lambda", args.lam), ("--form", args.form)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to derivative expansions")
         derivative = deriv_expand_closed(args.n, args.k)
-        if spec.format == "csv":
+        if args.format == "csv":
             text = _csv_text(
                 ["degree", "value"],
                 [
@@ -208,7 +193,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             )
         else:
             text = _json_text(derivative.to_json())
-    _emit(spec, text)
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -243,11 +228,10 @@ def _verify_reports(args: argparse.Namespace) -> List[verification.VerificationR
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _output_spec(args)
     reports = _verify_reports(args)
     all_passed = all(r.passed for r in reports)
 
-    if spec.format == "csv":
+    if args.format == "csv":
         header = ["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"]
         rows = []
         for r in reports:
@@ -272,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "suites": [r.to_json() for r in reports],
             }
         )
-    _emit(spec, text)
+    _emit(args, text)
     for r in reports:
         sys.stderr.write(f"{r.subject:<24}{r.status}\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
@@ -282,21 +266,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _check_digits(args.digits)
     lam = _parse_lambda(args.lam)
     point = _parse_point(args.x)
-    n = args.n
     if args.method == "direct":
-        value = legendre_bonnet(n).evaluate(lam * point)
-    elif args.method == "a-form":
-        expansion = expand_derivative_form(lam, n)
-        value = Fraction(0)
-        for k, c in enumerate(expansion.coeffs):
-            if c:
-                value += c * differentiate(legendre_bonnet(n - k), k).evaluate(point)
+        value = legendre_bonnet(args.n).evaluate(lam * point)
     else:
-        expansion = expand_legendre_form(lam, n)
+        form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
         value = Fraction(0)
-        for k, c in enumerate(expansion.coeffs):
-            if c:
-                value += c * legendre_bonnet(n - 2 * k).evaluate(point)
+        for k, c in enumerate(_scaling_expansion(form, lam, args.n).coeffs):
+            if c:  # at lambda = 0, 1, -1 most weights are 0: build no basis for them
+                value += c * basis_polynomial(form, args.n, k).evaluate(point)
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK
 
@@ -316,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("kind", choices=("a", "b", "alpha"))
     table.add_argument("--n-max", type=_nonneg_int, required=True)
     table.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
-                       help="scaling factor (required for kinds a and b)")
-    table.add_argument("--digits", type=int, default=None,
+                       help="scaling factor (kinds a and b only, required there)")
+    table.add_argument("--digits", type=_ascii_int, default=None,
                        help="append a decimal rendering column (1..50)")
     add_output_flags(table, "csv")
 
@@ -327,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--k", type=_nonneg_int, default=None, help="derivative order (deriv only)")
     expand.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
                         help="scaling factor (scaled only)")
-    expand.add_argument("--form", choices=(FORM_DERIVATIVE, FORM_LEGENDRE), default=FORM_LEGENDRE)
+    expand.add_argument("--form", choices=(FORM_DERIVATIVE, FORM_LEGENDRE), default=None,
+                        help=f"scaled only (default {FORM_LEGENDRE})")
     add_output_flags(expand, "json")
 
     verify_p = sub.add_parser("verify", help="run verification sweeps")
@@ -335,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--n-max", type=_nonneg_int, default=12)
     verify_p.add_argument("--lambda", dest="lam", action="append", metavar="P/Q",
                           help="override the default sweep set (repeatable)")
-    verify_p.add_argument("--seed", type=int, default=None,
+    verify_p.add_argument("--seed", type=_ascii_int, default=None,
                           help=f"extend the sweep with {RANDOM_LAMBDA_COUNT} seeded random rationals")
     add_output_flags(verify_p, "json")
 
@@ -344,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True)
     eval_p.add_argument("--x", required=True, help="evaluation point (decimal or p/q)")
     eval_p.add_argument("--method", choices=("direct", "a-form", "b-form"), default="direct")
-    eval_p.add_argument("--digits", type=int, default=12)
+    eval_p.add_argument("--digits", type=_ascii_int, default=12)
 
     return parser
 

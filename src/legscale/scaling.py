@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import List, Tuple
 
+from .polynomials import Poly, differentiate, legendre_bonnet
 from .rationals import RationalLike, as_rational, format_rational, parse_rational
 
 __all__ = [
@@ -35,12 +36,14 @@ __all__ = [
     "FORM_LEGENDRE",
     "ScalingExpansion",
     "a_coefficient",
+    "basis_polynomial",
     "expand_derivative_form",
     "alpha_nki",
     "b_coefficient",
     "b_coefficient_untruncated",
     "expand_legendre_form",
     "expand_legendre_form_untruncated",
+    "expansion_basis",
 ]
 
 FORM_DERIVATIVE = "derivative"
@@ -52,8 +55,9 @@ class ScalingExpansion:
     """Coefficient map for one expansion of P_n(lam*x).
 
     ``coeffs[k]``, k = 0 ... floor(n/2), multiplies d^k P_{n-k} in the
-    derivative form and P_{n-2k} in the legendre form. The map is dense:
-    zero entries are kept so every admissible k is listed.
+    derivative form and P_{n-2k} in the legendre form (`basis_polynomial`
+    builds them). The map is dense: zero entries are kept so every
+    admissible k is listed.
     """
 
     lam: Fraction
@@ -96,6 +100,26 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("degree must be >= 0")
     if not 0 <= k <= n // 2:
         raise ValueError(f"index k must lie in 0 ... {n // 2}")
+
+
+def basis_polynomial(form: str, n: int, k: int) -> Poly:
+    """The polynomial ``coeffs[k]`` multiplies in an expansion of P_n(lam*x).
+
+    d^k P_{n-k} in the derivative form, P_{n-2k} in the legendre form.
+    """
+    _check_nk(n, k)
+    if form == FORM_DERIVATIVE:
+        return differentiate(legendre_bonnet(n - k), k)
+    if form == FORM_LEGENDRE:
+        return legendre_bonnet(n - 2 * k)
+    raise ValueError(f"unknown form {form!r}")
+
+
+def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
+    """`basis_polynomial(form, n, k)` for every k = 0 ... floor(n/2)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return tuple(basis_polynomial(form, n, k) for k in range(n // 2 + 1))
 
 
 def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:

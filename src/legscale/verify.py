@@ -6,7 +6,8 @@ integrals) and compares it coefficient by coefficient against an
 independently computed target. The scalar coefficient formulas
 (`a_coefficient`, `b_coefficient`, `alpha_*`) are never called here: the
 whole-expansion entry points supply the claims, and the target side is
-built from polynomial primitives alone. The first failing case in sweep
+built from polynomial primitives alone. Each suite is one check run over
+its cases by a single sweep driver, and the first failing case in sweep
 order is recorded with full coefficient dumps of both sides, since an
 index-convention slip is the likeliest failure and raw dumps localize it
 immediately.
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import (
     deriv_expand_closed,
@@ -41,6 +42,7 @@ from .scaling import (
     expand_derivative_form,
     expand_legendre_form,
     expand_legendre_form_untruncated,
+    expansion_basis,
 )
 
 __all__ = [
@@ -126,6 +128,46 @@ def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     return values
 
 
+# A check takes one case's parameters and returns None or a counterexample.
+_Check = Callable[..., Optional[Counterexample]]
+
+
+def _sweep(cases: Iterable[tuple], check: _Check) -> Optional[Counterexample]:
+    """The first counterexample `check` returns over `cases`, in sweep order."""
+    for params in cases:
+        found = check(*params)
+        if found is not None:
+            return found
+    return None
+
+
+def _report(
+    subject: str,
+    n_max: int,
+    cases: Iterable[tuple],
+    check: _Check,
+    k_range: Optional[Tuple[int, int]],
+    lambdas: Optional[Tuple[Fraction, ...]] = None,
+    details: Optional[Dict[str, object]] = None,
+) -> VerificationReport:
+    """Run `check` over `cases` (n = 0 ... n_max) and report the first failure.
+
+    `details` is read after the sweep, so `check` may record verdicts in it.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    counterexample = _sweep(cases, check)
+    return VerificationReport(
+        subject=subject,
+        n_range=(0, n_max),
+        k_range=k_range,
+        lambdas=lambdas,
+        passed=counterexample is None,
+        counterexample=counterexample,
+        details=details if details is not None else {},
+    )
+
+
 def verify_scaling_identity(
     n_max: int,
     lambdas: Sequence[RationalLike] = DEFAULT_LAMBDAS,
@@ -140,61 +182,47 @@ def verify_scaling_identity(
     sums are compared, with the verdict recorded under
     details["limit_variants_agree"].
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
         raise ValueError(f"unknown form {form!r}")
     values = _clean_lambdas(lambdas)
-    subject = "eq9" if form == FORM_DERIVATIVE else "eq13"
-    counterexample: Optional[Counterexample] = None
-    variants_agree = True
+    legendre = form == FORM_LEGENDRE
+    details: Dict[str, object] = {"limit_variants_agree": True} if legendre else {}
 
-    for n in range(n_max + 1):
-        if form == FORM_DERIVATIVE:
-            parts = [differentiate(legendre_bonnet(n - k), k) for k in range(n // 2 + 1)]
+    def check(n: int, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
+        target = scale_argument(legendre_bonnet(n), lam)
+        if legendre:
+            expansion = expand_legendre_form(lam, n)
+            if expand_legendre_form_untruncated(lam, n).coeffs != expansion.coeffs:
+                details["limit_variants_agree"] = False
         else:
-            parts = [legendre_bonnet(n - 2 * k) for k in range(n // 2 + 1)]
-        for lam in values:
-            target = scale_argument(legendre_bonnet(n), lam)
-            if form == FORM_DERIVATIVE:
-                expansion = expand_derivative_form(lam, n)
-            else:
-                expansion = expand_legendre_form(lam, n)
-                if expand_legendre_form_untruncated(lam, n).coeffs != expansion.coeffs:
-                    variants_agree = False
-            rebuilt = Poly.zero()
-            for c, part in zip(expansion.coeffs, parts):
-                if c:
-                    rebuilt = rebuilt + c * part
-            params = {"n": n, "lambda": format_rational(lam), "check": "reconstruction"}
-            if rebuilt != target:
-                counterexample = _poly_mismatch(params, rebuilt, target)
-                break
-            if form == FORM_LEGENDRE:
-                projected = project_to_legendre(target)
-                claimed = {n - 2 * k: c for k, c in enumerate(expansion.coeffs) if c != 0}
-                if claimed != projected.terms:
-                    counterexample = Counterexample(
-                        {**params, "check": "projection"},
-                        tuple(format_rational(claimed.get(m, Fraction(0))) for m in range(n + 1)),
-                        tuple(format_rational(projected.coefficient(m)) for m in range(n + 1)),
-                    )
-                    break
-        if counterexample:
-            break
+            expansion = expand_derivative_form(lam, n)
+        rebuilt = Poly.zero()
+        for c, part in zip(expansion.coeffs, parts):
+            if c:
+                rebuilt = rebuilt + c * part
+        params = {"n": n, "lambda": format_rational(lam), "check": "reconstruction"}
+        if rebuilt != target:
+            return _poly_mismatch(params, rebuilt, target)
+        if legendre:
+            projected = project_to_legendre(target)
+            claimed = {part.degree: c for c, part in zip(expansion.coeffs, parts) if c != 0}
+            if claimed != projected.terms:
+                return Counterexample(
+                    {**params, "check": "projection"},
+                    tuple(format_rational(claimed.get(m, Fraction(0))) for m in range(n + 1)),
+                    tuple(format_rational(projected.coefficient(m)) for m in range(n + 1)),
+                )
+        return None
 
-    details: Dict[str, object] = {}
-    if form == FORM_LEGENDRE:
-        details["limit_variants_agree"] = variants_agree
-    return VerificationReport(
-        subject=subject,
-        n_range=(0, n_max),
-        k_range=(0, n_max // 2),
-        lambdas=values,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        details=details,
+    # The basis is built once per n and shared by every lambda.
+    cases = (
+        (n, parts, lam)
+        for n in range(n_max + 1)
+        for parts in (expansion_basis(form, n),)
+        for lam in values
     )
+    subject = "eq13" if legendre else "eq9"
+    return _report(subject, n_max, cases, check, (0, n_max // 2), values, details)
 
 
 def _alphas_dump(expansion) -> Tuple[str, ...]:
@@ -210,45 +238,30 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
     differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there the expansion is
     empty and the derivative the zero polynomial.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    counterexample: Optional[Counterexample] = None
-    for n in range(n_max + 1):
-        for k in range(n + 3):
-            expected = differentiate(legendre_bonnet(n), k)
-            routes = {
-                "telescoping": deriv_expand_telescoping(n, k),
-                "triangular": deriv_expand_triangular(n, k),
-                "recurrence": deriv_expand_recurrence(n, k),
-                "closed": deriv_expand_closed(n, k),
-            }
-            base = routes["telescoping"]
-            for name, other in routes.items():
-                if other.alphas != base.alphas:
-                    counterexample = Counterexample(
-                        {"n": n, "k": k, "check": f"telescoping-vs-{name}"},
-                        _alphas_dump(base),
-                        _alphas_dump(other),
-                    )
-                    break
-            if counterexample is None:
-                rebuilt = to_poly(base.to_series())
-                if rebuilt != expected:
-                    counterexample = _poly_mismatch(
-                        {"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected
-                    )
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return VerificationReport(
-        subject="eq19",
-        n_range=(0, n_max),
-        k_range=(0, n_max),
-        lambdas=None,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+
+    def check(n: int, k: int) -> Optional[Counterexample]:
+        expected = differentiate(legendre_bonnet(n), k)
+        routes = {
+            "telescoping": deriv_expand_telescoping(n, k),
+            "triangular": deriv_expand_triangular(n, k),
+            "recurrence": deriv_expand_recurrence(n, k),
+            "closed": deriv_expand_closed(n, k),
+        }
+        base = routes["telescoping"]
+        for name, other in routes.items():
+            if other.alphas != base.alphas:
+                return Counterexample(
+                    {"n": n, "k": k, "check": f"telescoping-vs-{name}"},
+                    _alphas_dump(base),
+                    _alphas_dump(other),
+                )
+        rebuilt = to_poly(base.to_series())
+        if rebuilt != expected:
+            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
+        return None
+
+    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 3))
+    return _report("eq19", n_max, cases, check, (0, n_max))
 
 
 def _to_z_coeffs(p: Poly, width: int) -> Tuple[Fraction, ...]:
@@ -272,70 +285,48 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     purely by polynomial substitution x = 1 - 2z and the solved alphas must
     satisfy every such surplus row exactly.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    counterexample: Optional[Counterexample] = None
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            big_n = n - k
-            alphas = deriv_expand_triangular(n, k).alphas
-            lhs_rows = _to_z_coeffs(differentiate(legendre_bonnet(n), k), big_n + 1)
-            basis_rows = [
-                _to_z_coeffs(legendre_bonnet(big_n - 2 * i), big_n + 1) for i in range(len(alphas))
-            ]
-            for j in range(big_n + 1):
-                if (big_n - j) % 2 == 0:
-                    continue
-                combined = Fraction(0)
-                for alpha, row in zip(alphas, basis_rows):
-                    combined += alpha * row[j]
-                if combined != lhs_rows[j]:
-                    counterexample = Counterexample(
-                        {"n": n, "k": k, "row": j, "check": "surplus-row"},
-                        (format_rational(combined),),
-                        (format_rational(lhs_rows[j]),),
-                    )
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return VerificationReport(
-        subject="eq24-rows",
-        n_range=(0, n_max),
-        k_range=(0, n_max),
-        lambdas=None,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+
+    def check(n: int, k: int) -> Optional[Counterexample]:
+        big_n = n - k
+        alphas = deriv_expand_triangular(n, k).alphas
+        lhs_rows = _to_z_coeffs(differentiate(legendre_bonnet(n), k), big_n + 1)
+        basis_rows = [
+            _to_z_coeffs(legendre_bonnet(big_n - 2 * i), big_n + 1) for i in range(len(alphas))
+        ]
+        for j in range(big_n + 1):
+            if (big_n - j) % 2 == 0:
+                continue
+            combined = Fraction(0)
+            for alpha, row in zip(alphas, basis_rows):
+                combined += alpha * row[j]
+            if combined != lhs_rows[j]:
+                return Counterexample(
+                    {"n": n, "k": k, "row": j, "check": "surplus-row"},
+                    (format_rational(combined),),
+                    (format_rational(lhs_rows[j]),),
+                )
+        return None
+
+    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 1))
+    return _report("eq24-rows", n_max, cases, check, (0, n_max))
 
 
 def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
     """Cross-check the closed recurrence against the telescoping route."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    counterexample: Optional[Counterexample] = None
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            tele = deriv_expand_telescoping(n, k)
-            recur = deriv_expand_recurrence(n, k)
-            if tele.alphas != recur.alphas:
-                counterexample = Counterexample(
-                    {"n": n, "k": k, "check": "recurrence-vs-telescoping"},
-                    _alphas_dump(recur),
-                    _alphas_dump(tele),
-                )
-                break
-        if counterexample:
-            break
-    return VerificationReport(
-        subject="eq26-vs-telescoping",
-        n_range=(0, n_max),
-        k_range=(0, n_max),
-        lambdas=None,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+
+    def check(n: int, k: int) -> Optional[Counterexample]:
+        tele = deriv_expand_telescoping(n, k)
+        recur = deriv_expand_recurrence(n, k)
+        if tele.alphas != recur.alphas:
+            return Counterexample(
+                {"n": n, "k": k, "check": "recurrence-vs-telescoping"},
+                _alphas_dump(recur),
+                _alphas_dump(tele),
+            )
+        return None
+
+    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 1))
+    return _report("eq26-vs-telescoping", n_max, cases, check, (0, n_max))
 
 
 def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
@@ -364,31 +355,21 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
 
 def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS) -> VerificationReport:
     """Compare the derivation replay with direct argument scaling."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     values = _clean_lambdas(lambdas)
     if any(v == 0 for v in values):
         raise ValueError("lambda=0 invalid for replay")
-    counterexample: Optional[Counterexample] = None
-    for n in range(n_max + 1):
-        for lam in values:
-            replayed = replay_rodrigues_derivation(lam, n)
-            target = scale_argument(legendre_bonnet(n), lam)
-            if replayed != target:
-                counterexample = _poly_mismatch(
-                    {"n": n, "lambda": format_rational(lam), "check": "replay"}, replayed, target
-                )
-                break
-        if counterexample:
-            break
-    return VerificationReport(
-        subject="replay",
-        n_range=(0, n_max),
-        k_range=None,
-        lambdas=values,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+
+    def check(n: int, lam: Fraction) -> Optional[Counterexample]:
+        replayed = replay_rodrigues_derivation(lam, n)
+        target = scale_argument(legendre_bonnet(n), lam)
+        if replayed != target:
+            return _poly_mismatch(
+                {"n": n, "lambda": format_rational(lam), "check": "replay"}, replayed, target
+            )
+        return None
+
+    cases = ((n, lam) for n in range(n_max + 1) for lam in values)
+    return _report("replay", n_max, cases, check, None, values)
 
 
 def random_lambdas(

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import legscale.cli
 import legscale.verify
-from legscale import ScalingExpansion, expand_derivative_form
+from legscale import ScalingExpansion, expand_derivative_form, legendre_bonnet
 from legscale.cli import format_decimal, main
 
 
@@ -79,8 +80,22 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table", "b", "--lambda", "1.5", "--n-max", "2")
         assert code == 2
 
-    def test_non_ascii_lambda_is_usage_error(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "b", "--lambda", "\u0663", "--n-max", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "b", "--lambda", "\u0663", "--n-max", "2"),
+            ("table", "a", "--n-max", "\u0663", "--lambda", "2"),
+            ("expand", "deriv", "--n", "\u0663", "--k", "1"),
+            ("expand", "deriv", "--n", "3", "--k", "\uff11"),
+            ("table", "b", "--lambda", "2", "--n-max", "2", "--digits", "\u0664"),
+            ("verify", "eq9", "--n-max", "2", "--seed", "\u0663"),
+            ("eval", "--n", "3", "--lambda", "2", "--x", "\u0660.\u0665"),
+        ],
+        ids=["lambda", "n-max", "n", "k", "digits", "seed", "x"],
+    )
+    def test_non_ascii_lambda_is_usage_error(self, capsys, argv):
+        # Every numeric flag, not only --lambda, takes ASCII digits only.
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
 
@@ -135,6 +150,11 @@ class TestExpand:
         code, _, _ = run_cli(capsys, "expand", "scaled", "--n", "3")
         assert code == 2
 
+    def test_scaled_form_defaults_to_legendre(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "scaled", "--n", "2", "--lambda", "2")
+        assert code == 0
+        assert json.loads(out)["form"] == "legendre"
+
     def test_scaled_derivative_form(self, capsys):
         code, out, _ = run_cli(
             capsys, "expand", "scaled", "--n", "3", "--lambda", "2", "--form", "derivative"
@@ -150,6 +170,23 @@ class TestExpand:
         )
         assert code == 2
         assert "k must lie in" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "alpha", "--n-max", "1", "--lambda", "3"),
+        ("expand", "deriv", "--n", "3", "--k", "1", "--lambda", "5"),
+        ("expand", "deriv", "--n", "3", "--k", "1", "--form", "derivative"),
+        ("expand", "deriv", "--n", "3", "--k", "1", "--form", "legendre"),
+    ],
+    ids=" ".join,
+)
+def test_flag_that_does_not_apply_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[-2]} does not apply" in err
 
 
 class TestVerify:
@@ -259,6 +296,24 @@ class TestEval:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_zero_weights_build_no_basis(self, capsys, monkeypatch):
+        # At lambda = 1 only a_0 is nonzero; building d^k P_{n-k} for the
+        # zero weights made a-form 25 times slower at n = 150.
+        built = []
+        real = legscale.cli.basis_polynomial
+
+        def counting(form, n, k):
+            built.append(k)
+            return real(form, n, k)
+
+        monkeypatch.setattr(legscale.cli, "basis_polynomial", counting)
+        code, out, _ = run_cli(
+            capsys, "eval", "--n", "9", "--lambda", "1", "--x", "1/3", "--method", "a-form"
+        )
+        assert code == 0
+        assert out == format_decimal(legendre_bonnet(9).evaluate(Fraction(1, 3)), 12) + "\n"
+        assert built == [0]
+
     def test_bad_inputs_are_usage_errors(self, capsys):
         assert run_cli(capsys, "eval", "--n", "2", "--lambda", "x", "--x", "0.5")[0] == 2
         assert run_cli(capsys, "eval", "--n", "2", "--lambda", "2", "--x", "zz")[0] == 2
@@ -279,9 +334,10 @@ class TestDeterminism:
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
 
 
-# sha256 of stdout for invocations whose output must never change; the
-# values were recorded before the closed-form alpha replaced the recurrence
-# on the production paths.
+# sha256 of stdout for invocations whose output must never change. The first
+# five were recorded before the closed-form alpha replaced the recurrence on
+# the production paths, the rest before the verify suites moved onto one
+# sweep driver and `table` onto one row model.
 GOLDEN_STDOUT = {
     ("table", "b", "--n-max", "40", "--lambda", "17/7"):
         "3d80bd1568bef361801ce8ed28ae821871c0e044981146b7cc2c05e5c927177c",
@@ -293,6 +349,16 @@ GOLDEN_STDOUT = {
         "0723991aed72624d4a14dcaee2dfb73a4cafbe1479a9205844a0988164d9f47e",
     ("eval", "--method", "b-form", "--n", "64", "--lambda", "17/7", "--x", "3/8"):
         "e5ab6f9f809848fdd1388d8f9dde112b84f2caf9b530c31a85e927aa3371e2a0",
+    ("verify", "all", "--n-max", "8", "--seed", "3"):
+        "7ee3bb65bb2e71c39543fa4471582b6c68a674b114b995c2d2b817108a09bbe4",
+    ("verify", "all", "--n-max", "8", "--format", "csv"):
+        "209019a3abac75b24731d597087ce6c041737e272869449f6142ace9a998b75b",
+    ("table", "a", "--n-max", "12", "--lambda", "-3/5", "--digits", "20", "--format", "json"):
+        "765df98e8e12bc51e097cfbc26ee267c2fea8fc1233cf9c6d126c1fa48da02b5",
+    ("table", "alpha", "--n-max", "6", "--digits", "5"):
+        "89b95c71dbebccfe2f664e42afb389be1d15b8df6097bb31b5b8ed1b0f6f59df",
+    ("eval", "--method", "a-form", "--n", "40", "--lambda", "17/7", "--x", "3/8"):
+        "1e10f3f51cfcbd84b9837bd9c1d469731157a338f81cd8da21e63fac76293b47",
 }
 
 

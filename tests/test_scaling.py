@@ -10,6 +10,7 @@ from legscale import (
     ScalingExpansion,
     a_coefficient,
     alpha_nki,
+    basis_polynomial,
     b_coefficient,
     b_coefficient_untruncated,
     deriv_expand_recurrence,
@@ -18,6 +19,7 @@ from legscale import (
     expand_derivative_form,
     expand_legendre_form,
     expand_legendre_form_untruncated,
+    expansion_basis,
     legendre_bonnet,
     project_to_legendre,
     scale_argument,
@@ -231,3 +233,24 @@ class TestScalingExpansionType:
     def test_forms_tagged(self):
         assert expand_derivative_form(2, 3).form == FORM_DERIVATIVE
         assert expand_legendre_form(2, 3).form == FORM_LEGENDRE
+
+
+class TestExpansionBasis:
+    def test_convention(self):
+        for n in range(9):
+            derivative = expansion_basis(FORM_DERIVATIVE, n)
+            legendre = expansion_basis(FORM_LEGENDRE, n)
+            assert len(derivative) == len(legendre) == n // 2 + 1
+            for k in range(n // 2 + 1):
+                assert derivative[k] == differentiate(legendre_bonnet(n - k), k)
+                assert legendre[k] == legendre_bonnet(n - 2 * k)
+                assert basis_polynomial(FORM_DERIVATIVE, n, k) == derivative[k]
+                assert basis_polynomial(FORM_LEGENDRE, n, k) == legendre[k]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            expansion_basis("monomial", 2)
+        with pytest.raises(ValueError):
+            expansion_basis(FORM_LEGENDRE, -1)
+        with pytest.raises(ValueError):
+            basis_polynomial(FORM_DERIVATIVE, 4, 3)

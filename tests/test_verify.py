@@ -8,10 +8,16 @@ from legscale import (
     FORM_LEGENDRE,
     DEFAULT_LAMBDAS,
     NONZERO_LAMBDAS,
+    DerivExpansion,
+    LegendreSeries,
+    Poly,
     ScalingExpansion,
     VerificationReport,
+    deriv_expand_recurrence,
+    deriv_expand_triangular,
     expand_derivative_form,
     legendre_bonnet,
+    project_to_legendre,
     random_lambdas,
     replay_rodrigues_derivation,
     scale_argument,
@@ -73,6 +79,19 @@ class TestReplay:
             verify_replay(5, (Fraction(1), Fraction(0)))
 
 
+def _bump_first_alpha(route, bad_cases):
+    """`route` with alphas[0] off by one at the (n, k) in `bad_cases`."""
+
+    def corrupted(n, k):
+        expansion = route(n, k)
+        if (n, k) in bad_cases:
+            alphas = (expansion.alphas[0] + 1,) + expansion.alphas[1:]
+            return DerivExpansion(n, k, alphas)
+        return expansion
+
+    return corrupted
+
+
 class TestReportMachinery:
     def test_status_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -132,6 +151,63 @@ class TestReportMachinery:
         assert data["status"] == "fail"
         assert data["counterexample"]["params"]["n"] == 2
         assert isinstance(data["counterexample"]["lhs"], list)
+
+    # One route corrupted at two cases: the report names the earlier one in
+    # sweep order. Where a suite has an inner index, the later case has the
+    # smaller one, which tells n-major order from any other.
+
+    def test_first_failure_eq13_projection(self, monkeypatch):
+        real = project_to_legendre
+
+        def corrupted(p):
+            series = real(p)
+            if p.degree in (3, 5):
+                return LegendreSeries({**series.terms, 0: series.coefficient(0) + 1})
+            return series
+
+        monkeypatch.setattr(legscale.verify, "project_to_legendre", corrupted)
+        report = verify_scaling_identity(8, (Fraction(2),), FORM_LEGENDRE)
+        assert report.status == "fail"
+        assert report.counterexample.params == {"n": 3, "lambda": "2", "check": "projection"}
+
+    def test_first_failure_eq19_route_mismatch(self, monkeypatch):
+        corrupted = _bump_first_alpha(deriv_expand_recurrence, {(3, 2), (4, 1)})
+        monkeypatch.setattr(legscale.verify, "deriv_expand_recurrence", corrupted)
+        report = verify_derivative_identity(6)
+        assert report.status == "fail"
+        assert report.counterexample.params == {
+            "n": 3, "k": 2, "check": "telescoping-vs-recurrence"
+        }
+
+    def test_first_failure_eq24_rows(self, monkeypatch):
+        corrupted = _bump_first_alpha(deriv_expand_triangular, {(3, 1), (4, 0)})
+        monkeypatch.setattr(legscale.verify, "deriv_expand_triangular", corrupted)
+        report = verify_surplus_rows(6)
+        assert report.subject == "eq24-rows"
+        assert report.status == "fail"
+        assert report.counterexample.params == {"n": 3, "k": 1, "row": 1, "check": "surplus-row"}
+
+    def test_first_failure_eq26(self, monkeypatch):
+        corrupted = _bump_first_alpha(deriv_expand_recurrence, {(3, 2), (4, 1)})
+        monkeypatch.setattr(legscale.verify, "deriv_expand_recurrence", corrupted)
+        report = verify_recurrence_vs_telescoping(6)
+        assert report.status == "fail"
+        assert report.counterexample.params == {
+            "n": 3, "k": 2, "check": "recurrence-vs-telescoping"
+        }
+
+    def test_first_failure_replay(self, monkeypatch):
+        real = replay_rodrigues_derivation
+        bad_cases = {(2, Fraction(1, 2)), (3, Fraction(2))}
+
+        def corrupted(lam, n):
+            replayed = real(lam, n)
+            return replayed + Poly.one() if (n, lam) in bad_cases else replayed
+
+        monkeypatch.setattr(legscale.verify, "replay_rodrigues_derivation", corrupted)
+        report = verify_replay(5, (Fraction(2), Fraction(1, 2)))
+        assert report.status == "fail"
+        assert report.counterexample.params == {"n": 2, "lambda": "1/2", "check": "replay"}
 
 
 class TestRandomLambdas:
