@@ -165,8 +165,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if args.what == "scaled":
         if args.lam is None:
             raise UsageError("--lambda is required for scaled expansions")
-        if args.k is not None and args.k > args.n // 2:
-            raise UsageError(f"k must lie in 0 ... {args.n // 2} for scaled expansions")
+        if args.k is not None:
+            raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
         expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
         if args.format == "csv":
@@ -198,6 +198,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> List[verification.VerificationReport]:
+    if args.suite in ("eq19", "eq26"):  # the derivative suites sweep no lambda
+        for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to suite {args.suite!r}")
     if args.lam:
         lambdas: Tuple[Fraction, ...] = tuple(_parse_lambda(t) for t in args.lam)
         if args.suite == "replay" and any(v == 0 for v in lambdas):
@@ -312,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("suite", choices=SUITES, nargs="?", default="all")
     verify_p.add_argument("--n-max", type=_nonneg_int, default=12)
     verify_p.add_argument("--lambda", dest="lam", action="append", metavar="P/Q",
-                          help="override the default sweep set (repeatable)")
+                          help="override the default sweep set (repeatable; not for eq19, eq26)")
     verify_p.add_argument("--seed", type=_ascii_int, default=None,
-                          help=f"extend the sweep with {RANDOM_LAMBDA_COUNT} seeded random rationals")
+                          help=f"extend the sweep with {RANDOM_LAMBDA_COUNT} seeded random rationals "
+                               "(not for eq19, eq26)")
     add_output_flags(verify_p, "json")
 
     eval_p = sub.add_parser("eval", help="evaluate P_n(lambda*x) to a decimal")

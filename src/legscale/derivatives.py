@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Tuple
 
 from .polynomials import LegendreSeries
@@ -121,21 +121,21 @@ def deriv_expand_telescoping(n: int, k: int) -> DerivExpansion:
     """Expand d^k P_n by applying the single-derivative rewrite k times.
 
     Each pass replaces d/dx P_m with sum over m' = m-1, m-3, ... >= 0 of
-    (2m'+1) P_{m'}; coefficients accumulate exactly. Returns the empty
-    expansion when k > n.
+    (2m'+1) P_{m'}; the weights are integers, so coefficients accumulate
+    exactly in ints. Returns the empty expansion when k > n.
     """
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())
-    current: Dict[int, Fraction] = {n: Fraction(1)}
+    current: Dict[int, int] = {n: 1}
     for _ in range(k):
-        nxt: Dict[int, Fraction] = {}
+        nxt: Dict[int, int] = {}
         for m, c in current.items():
             for target in range(m - 1, -1, -2):
-                nxt[target] = nxt.get(target, Fraction(0)) + c * (2 * target + 1)
+                nxt[target] = nxt.get(target, 0) + c * (2 * target + 1)
         current = nxt
     count = (n - k) // 2 + 1
-    return DerivExpansion(n, k, tuple(current.get(n - k - 2 * i, Fraction(0)) for i in range(count)))
+    return DerivExpansion(n, k, tuple(Fraction(current.get(n - k - 2 * i, 0)) for i in range(count)))
 
 
 def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
@@ -146,19 +146,19 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
         d^k/dx^k P_n = C(n,k) (n+1)_k / 2^k
                        * sum_{j=0}^{n-k} (k-n)_j (n+k+1)_j / ((k+1)_j j!) * z^j ;
 
-    the returned tuple holds the exact coefficient of z^j at index j.
-    Rejects k > n: the derivative is zero there but this series form is
-    not defined.
+    the returned tuple holds the exact coefficient of z^j at index j. Each
+    term follows from the one before by the ratio of its rising factorials,
+    (k-n+j)(n+k+1+j) / ((k+1+j)(j+1)). Rejects k > n: the derivative is
+    zero there but this series form is not defined.
     """
     _check_orders(n, k)
     if k > n:
         raise ValueError("series form requires k <= n")
-    prefactor = binomial(n, k) * rising_factorial(n + 1, k) / Fraction(2) ** k
+    term = binomial(n, k) * rising_factorial(n + 1, k) / Fraction(2) ** k
     out: List[Fraction] = []
     for j in range(n - k + 1):
-        numerator = rising_factorial(k - n, j) * rising_factorial(n + k + 1, j)
-        denominator = rising_factorial(k + 1, j) * factorial(j)
-        out.append(prefactor * numerator / denominator)
+        out.append(term)
+        term *= Fraction((k - n + j) * (n + k + 1 + j), (k + 1 + j) * (j + 1))
     return tuple(out)
 
 
@@ -177,24 +177,34 @@ def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
         return DerivExpansion(n, k, ())
     big_n = n - k
     targets = murphy_deriv_series(n, k)
-    # z^j coefficients of P_N; lower degrees follow by a falling-factorial
-    # ratio which is exactly zero whenever j exceeds N - 2i.
-    top_row = tuple(
-        rising_factorial(-big_n, j) * rising_factorial(big_n + 1, j) / Fraction(factorial(j) ** 2)
-        for j in range(big_n + 1)
-    )
+    # z^j coefficients of P_N. The z^j coefficient of P_{N-2i} is
+    # basis_coeff(j, i) = top_row[j] * ff(N-j, 2i) / ff(N+j, 2i), ff the
+    # falling factorial; it is exactly zero whenever j exceeds N - 2i.
+    top_row = [Fraction(1)]  # (-N)_j (N+1)_j / (j!)^2, one ratio per step
+    for j in range(big_n):
+        top_row.append(top_row[-1] * Fraction((j - big_n) * (big_n + 1 + j), (j + 1) ** 2))
 
-    def basis_coeff(j: int, i: int) -> Fraction:
-        return top_row[j] * falling_factorial(big_n - j, 2 * i) / falling_factorial(big_n + j, 2 * i)
+    def next_basis_coeff(coeff: Fraction, j: int, i: int) -> Fraction:
+        """basis_coeff(j, i+1) from basis_coeff(j, i) = coeff.
+
+        The falling factorials each gain two factors; once an entry is 0
+        every later one is too, and the denominator may vanish there.
+        """
+        num = (big_n - j - 2 * i) * (big_n - j - 2 * i - 1)
+        if not coeff or not num:
+            return Fraction(0)
+        return coeff * Fraction(num, (big_n + j - 2 * i) * (big_n + j - 2 * i - 1))
 
     alphas: List[Fraction] = []
     for j in range(big_n, -1, -1):
         offset = big_n - j
         acc = Fraction(0)
+        coeff = top_row[j]  # basis_coeff(j, i), starting at i = 0
         for i, alpha in enumerate(alphas):
-            acc += alpha * basis_coeff(j, i)
+            acc += alpha * coeff
+            coeff = next_basis_coeff(coeff, j, i)
         if offset % 2 == 0:
-            pivot = basis_coeff(j, offset // 2)
+            pivot = coeff  # basis_coeff(j, offset // 2): one unknown per even offset
             if pivot == 0:
                 raise DegeneratePivotError(f"vanishing pivot at row {j} for (n, k) = ({n}, {k})")
             alphas.append((targets[j] - acc) / pivot)

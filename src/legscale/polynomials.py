@@ -4,20 +4,22 @@ Three independent ways of building P_n live here (three-term recurrence,
 repeated differentiation of (x^2-1)^n, terminating Gauss series), together
 with the formal operations every identity check rests on: differentiation,
 argument scaling, the exact inner product on [-1, 1], and projection onto
-the Legendre basis.
+the Legendre basis. A `Poly` holds int numerators over one denominator, so
+all of these run in Python integers; Fractions are built only where values
+leave a polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from itertools import islice
+from math import comb, factorial, gcd, lcm
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .rationals import (
     RationalLike,
     as_rational,
-    binomial,
     format_rational,
     parse_rational,
     rising_factorial,
@@ -38,20 +40,49 @@ __all__ = [
 
 
 class Poly:
-    """Univariate polynomial over Fraction in the monomial basis.
+    """Univariate polynomial with exact rational coefficients, monomial basis.
 
-    Coefficients are stored densely in ascending degree: index m holds the
-    coefficient of x^m. Trailing zeros are stripped, so the zero polynomial
-    stores nothing and reports degree None. Instances are immutable.
+    Stored as a tuple of int numerators over one positive int denominator:
+    index m of the numerators belongs to x^m. Trailing zeros are stripped and
+    every operation divides out the gcd of the denominator and all
+    numerators once, so each value has exactly one stored form; the zero
+    polynomial stores no numerators, denominator 1, and reports degree None.
+    Arithmetic, evaluation and the module's formal operations run on these
+    integers; `coeffs`, `coefficient`, `to_json` and `repr` build Fractions
+    only at that boundary. Instances are immutable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()) -> None:
-        items = [as_rational(c) for c in coeffs]
-        while items and items[-1] == 0:
-            items.pop()
-        self._coeffs: Tuple[Fraction, ...] = tuple(items)
+        values = [as_rational(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        self._set([v.numerator * (den // v.denominator) for v in values], den)
+
+    def _set(self, nums: List[int], den: int) -> None:
+        """Store nums/den in normal form: no trailing zeros, den > 0, gcd 1."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        if den < 0:
+            den, nums = -den, [-c for c in nums]
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+        self._nums: Tuple[int, ...] = tuple(nums)
+        self._den: int = den
+
+    @classmethod
+    def _of(cls, nums: List[int], den: int = 1) -> "Poly":
+        """Poly with x^m coefficient nums[m] / den (any nonzero den).
+
+        Takes ownership of `nums`: the list may be changed in place.
+        """
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -66,76 +97,85 @@ class Poly:
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
         c = as_rational(coeff)
-        if c == 0:
-            return cls()
-        return cls((Fraction(0),) * degree + (c,))
+        return cls._of([0] * degree + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     @property
     def degree(self) -> Union[int, None]:
         """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return len(self._nums) - 1 if self._nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coefficient(self, m: int) -> Fraction:
         """Coefficient of x^m (0 beyond the stored degree)."""
         if m < 0:
             raise ValueError("monomial degree must be >= 0")
-        if m >= len(self._coeffs):
+        if m >= len(self._nums):
             return Fraction(0)
-        return self._coeffs[m]
+        return Fraction(self._nums[m], self._den)
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at x = p/q: Horner on c_m * q^(deg-m), one Fraction."""
         point = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        acc = 0
+        q_power = 1
+        for c in reversed(nums):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc, q ** (len(nums) - 1) * self._den)
 
     __call__ = evaluate
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        a, b = self._nums, other._nums
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, sign * (self._den // g)
+        out = [c * fa for c in a] + [0] * (len(b) - len(a))
+        for m, c in enumerate(b):
+            out[m] += c * fb
+        return Poly._of(out, self._den * fa)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for m, c in enumerate(b):
-            out[m] += c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._of([-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            a, b = self._nums, other._nums
+            out = [0] * (len(a) + len(b) - 1)
             for i, ai in enumerate(a):
                 if not ai:
                     continue
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] += ai * bj
-            return Poly(out)
+            return Poly._of(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             factor = as_rational(other)
-            return Poly(tuple(c * factor for c in self._coeffs))
+            p = factor.numerator
+            return Poly._of([c * p for c in self._nums], self._den * factor.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -148,26 +188,27 @@ class Poly:
             divisor = as_rational(scalar)
             if divisor == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return Poly(tuple(c / divisor for c in self._coeffs))
+            q = divisor.denominator
+            return Poly._of([c * q for c in self._nums], self._den * divisor.numerator)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
-        inside = ", ".join(format_rational(c) for c in self._coeffs)
+        inside = ", ".join(format_rational(c) for c in self.coeffs)
         return f"Poly([{inside}])"
 
     def to_json(self) -> dict:
-        return {"coeffs": [format_rational(c) for c in self._coeffs]}
+        return {"coeffs": [format_rational(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Poly":
@@ -242,23 +283,47 @@ class LegendreSeries:
         return cls((int(m), parse_rational(c)) for m, c in data["terms"].items())
 
 
-@lru_cache(maxsize=None)
+BONNET_CACHE_SIZE = 128
+
+
+def _bonnet_rows() -> Iterator[List[int]]:
+    """Integer rows of R_m = 2^m * P_m for m = 0, 1, 2, ...
+
+    Row m lists the coefficients of x^m, x^(m-2), x^(m-4), ... (the others
+    vanish by parity), so entry i belongs to x^(m-2i). The rows obey the
+    Bonnet recurrence times 2^(m+1),
+
+        (m+1) R_{m+1} = 2(2m+1) x R_m - 4m R_{m-1},
+
+    and the division by m+1 is exact, since 2^m P_m has the integer
+    coefficient (-1)^i C(m, i) C(2m-2i, m) at x^(m-2i). Only the last two
+    rows are kept.
+    """
+    prev: List[int] = []
+    cur = [1]
+    m = 0
+    while True:
+        yield cur
+        a, b, m = 2 * (2 * m + 1), 4 * m, m + 1
+        prev, cur = cur, [(a * c - b * d) // m for c, d in zip(cur + [0], [0] + prev)]
+
+
+@lru_cache(maxsize=BONNET_CACHE_SIZE)
 def legendre_bonnet(n: int) -> Poly:
     """P_n via the three-term recurrence (m+1)P_{m+1} = (2m+1)xP_m - mP_{m-1}.
 
-    Seeded with P_0 = 1 and P_1 = x. Results are cached; Poly is immutable,
-    so sharing across callers and threads is safe.
+    Runs in integers on R_m = 2^m P_m, which obeys
+    (m+1) R_{m+1} = 2(2m+1) x R_m - 4m R_{m-1} with R_0 = 1, R_1 = 2x and
+    an exact division by m+1; P_n is the last row over 2^n. The most recent
+    BONNET_CACHE_SIZE degrees are cached (`legendre_bonnet.cache_clear()`
+    empties the cache); Poly is immutable, so sharing results across callers
+    and threads is safe.
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    prev = Poly((1,))
-    if n == 0:
-        return prev
-    cur = Poly((0, 1))
-    for m in range(1, n):
-        shifted = Poly((Fraction(0),) + cur.coeffs)  # x * P_m
-        prev, cur = cur, Fraction(2 * m + 1, m + 1) * shifted - Fraction(m, m + 1) * prev
-    return cur
+    dense = [0] * (n + 1)
+    dense[n::-2] = next(islice(_bonnet_rows(), n, None))
+    return Poly._of(dense, 2 ** n)
 
 
 def legendre_rodrigues(n: int) -> Poly:
@@ -269,10 +334,10 @@ def legendre_rodrigues(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    base = [Fraction(0)] * (2 * n + 1)
+    base = [0] * (2 * n + 1)
     for j in range(n + 1):
-        base[2 * j] = binomial(n, j) * (-1) ** (n - j)
-    return differentiate(Poly(base), n) / (Fraction(2) ** n * factorial(n))
+        base[2 * j] = comb(n, j) * (-1) ** (n - j)
+    return differentiate(Poly(base), n) / (2 ** n * factorial(n))
 
 
 def legendre_murphy(n: int) -> Poly:
@@ -296,58 +361,90 @@ def legendre_murphy(n: int) -> Poly:
 
 
 def differentiate(p: Poly, k: int = 1) -> Poly:
-    """Exact k-fold formal derivative; zero once k exceeds the degree."""
+    """Exact k-fold formal derivative; zero once k exceeds the degree.
+
+    One pass: x^m becomes m!/(m-k)! x^(m-k), the weight updated from one m
+    to the next.
+    """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    coeffs = list(p.coeffs)
-    for _ in range(k):
-        if not coeffs:
-            break
-        coeffs = [m * coeffs[m] for m in range(1, len(coeffs))]
-    return Poly(coeffs)
+    nums = p._nums
+    out = []
+    weight = factorial(k)  # m!/(m-k)! at m = k
+    for m in range(k, len(nums)):
+        out.append(nums[m] * weight)
+        weight = weight * (m + 1) // (m + 1 - k)
+    return Poly._of(out, p._den)
 
 
 def scale_argument(p: Poly, lam: RationalLike) -> Poly:
-    """q with q(x) = p(lam * x): coefficient m picks up lam^m."""
+    """q with q(x) = p(lam * x): coefficient m picks up lam^m.
+
+    With lam = a/b and d = deg p, numerator m is multiplied by a^m b^(d-m)
+    and the denominator by b^d.
+    """
     factor = as_rational(lam)
+    if p.is_zero:
+        return p
+    a, b = factor.numerator, factor.denominator
+    top = len(p._nums) - 1
     out = []
-    power = Fraction(1)
-    for m, c in enumerate(p.coeffs):
-        if m:
-            power *= factor
-        out.append(c * power)
-    return Poly(out)
+    a_power, b_power = 1, b ** top
+    for c in p._nums:
+        out.append(c * a_power * b_power)
+        a_power *= a
+        b_power //= b
+    return Poly._of(out, p._den * b ** top)
+
+
+def _odd_lcm(count: int) -> int:
+    """lcm(1, 3, 5, ..., 2*count - 1); 1 when count is 0."""
+    return lcm(*range(1, 2 * count, 2))
 
 
 def inner_product(p: Poly, q: Poly) -> Fraction:
     """Integral of p*q over [-1, 1] by exact term-wise monomial integration.
 
-    Odd total powers integrate to zero and are skipped without arithmetic.
+    x^s integrates to 2/(s+1) for even s and to zero for odd s, which is
+    skipped without arithmetic. The product's even numerators are summed
+    over L = lcm of the odd numbers up to deg(pq)+1, so one Fraction is
+    built.
     """
-    total = Fraction(0)
-    for i, a in enumerate(p.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b and (i + j) % 2 == 0:
-                total += a * b * Fraction(2, i + j + 1)
-    return total
+    prod = p * q
+    nums = prod._nums
+    big_l = _odd_lcm((len(nums) + 1) // 2)
+    total = sum(c * (2 * big_l // (s + 1)) for s, c in enumerate(nums) if c and s % 2 == 0)
+    return Fraction(total, big_l * prod._den)
 
 
 def project_to_legendre(p: Poly) -> LegendreSeries:
     """Legendre coefficients by exact integration: c_m = (2m+1)/2 * <p, P_m>.
 
-    Deliberately walks every degree up to deg(p) so vanishing coefficients
-    are computed, not assumed; this keeps the projection usable as an
-    independent check on any coefficient formula.
+    With p = sum_i N_i x^i / D of degree n, L = lcm(1, 3, ..., 2n+1) and the
+    integer moments M_j = sum_{i = j mod 2} N_i * L / (i+j+1), so that
+    int_{-1}^{1} x^j p = 2 M_j / (D L), and with R_m = 2^m P_m the integer
+    Bonnet rows (R_m[j] the coefficient of x^j),
+
+        c_m = (2m+1) * sum_j R_m[j] M_j / (2^m D L).
+
+    Deliberately walks every degree 0 ... n, so vanishing coefficients are
+    computed, not assumed; this keeps the projection usable as an
+    independent check on any coefficient formula. O(n^2) integer work.
     """
     if p.is_zero:
         return LegendreSeries()
+    nums, den = p._nums, p._den
+    size = len(nums)
+    big_l = _odd_lcm(size)
+    moments = [
+        sum(nums[i] * (big_l // (i + j + 1)) for i in range(j % 2, size, 2))
+        for j in range(size)
+    ]
     found = []
-    for m in range(p.degree + 1):
-        c = inner_product(p, legendre_bonnet(m)) * Fraction(2 * m + 1, 2)
-        if c:
-            found.append((m, c))
+    for m, row in zip(range(size), _bonnet_rows()):
+        total = sum(r * mu for r, mu in zip(row, moments[m::-2]))
+        if total:
+            found.append((m, Fraction((2 * m + 1) * total, 2 ** m * den * big_l)))
     return LegendreSeries(found)
 
 

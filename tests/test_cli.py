@@ -169,7 +169,7 @@ class TestExpand:
             capsys, "expand", "scaled", "--n", "4", "--lambda", "2", "--k", "3"
         )
         assert code == 2
-        assert "k must lie in" in err
+        assert "--k does not apply" in err
 
 
 @pytest.mark.parametrize(
@@ -179,6 +179,11 @@ class TestExpand:
         ("expand", "deriv", "--n", "3", "--k", "1", "--lambda", "5"),
         ("expand", "deriv", "--n", "3", "--k", "1", "--form", "derivative"),
         ("expand", "deriv", "--n", "3", "--k", "1", "--form", "legendre"),
+        ("expand", "scaled", "--n", "4", "--lambda", "2", "--k", "1"),
+        ("verify", "eq19", "--n-max", "2", "--lambda", "3"),
+        ("verify", "eq19", "--n-max", "2", "--seed", "1"),
+        ("verify", "eq26", "--n-max", "2", "--lambda", "3"),
+        ("verify", "eq26", "--n-max", "2", "--seed", "1"),
     ],
     ids=" ".join,
 )
@@ -359,6 +364,12 @@ GOLDEN_STDOUT = {
         "89b95c71dbebccfe2f664e42afb389be1d15b8df6097bb31b5b8ed1b0f6f59df",
     ("eval", "--method", "a-form", "--n", "40", "--lambda", "17/7", "--x", "3/8"):
         "1e10f3f51cfcbd84b9837bd9c1d469731157a338f81cd8da21e63fac76293b47",
+    ("eval", "--method", "b-form", "--n", "300", "--lambda", "7/3", "--x", "3/8"):
+        "ec23f9107ab4e1f60fcc98f5758340d1ad37ac15d339d52a0b42209139068712",
+    ("eval", "--method", "a-form", "--n", "150", "--lambda", "2", "--x", "3/8"):
+        "17573dc694a8a82b5e243f3c0cfc862e6fe007309deb91fad06959c40a7246e3",
+    ("eval", "--method", "direct", "--n", "300", "--lambda", "7/3", "--x", "3/8"):
+        "ec23f9107ab4e1f60fcc98f5758340d1ad37ac15d339d52a0b42209139068712",
 }
 
 

@@ -143,12 +143,14 @@ class TestClosedRecurrence:
 class TestClosedForm:
     def test_matches_the_routes_it_replaces(self):
         # The closed form replaced the recurrence on every production path;
-        # it must equal both the telescoping and the recurrence route.
+        # it must equal the telescoping, the recurrence and the triangular
+        # route (whose basis coefficients are updated from one depth to the next).
         for n in range(41):
             for k in range(n + 3):
                 closed = deriv_expand_closed(n, k)
                 assert closed == deriv_expand_telescoping(n, k), (n, k)
                 assert closed == deriv_expand_recurrence(n, k), (n, k)
+                assert closed == deriv_expand_triangular(n, k), (n, k)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
