@@ -262,7 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     _emit(args, text)
     for r in reports:
-        sys.stderr.write(f"{r.subject:<24}{r.status}\n")
+        sys.stderr.write(f"{r.subject:<24}{r.status}  {r.cases} cases\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -9,14 +9,17 @@ Four independent routes produce the same alpha set:
 * triangular: match coefficients of both sides written as terminating
   series in z = (1-x)/2 and solve the resulting triangular system;
 * closed recurrence: evaluate each alpha from falling factorials and the
-  previously computed alphas;
+  previously computed alphas (each falling factorial of a half-integer is
+  an odd-number product over a power of 2);
 * closed form: the Legendre case of Doha's formula for differentiated
   ultraspherical expansions (Comput. Math. Appl. 21 (1991) 115-122). For
   1 <= k <= n and m = n-k-2i every alpha is the integer
 
       alpha_m = (2m+1) * C(k+i-1, i) * prod_{t=0}^{k-2} (2(n-k-i) + 3 + 2t).
 
-The closed form is the production route; the other three verify it.
+The closed form is the production route; the other three verify it. All
+four run in Python integers over one common denominator per value and build
+one Fraction per output alpha.
 
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
@@ -26,17 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, List, Tuple
+from math import comb, lcm, perm
+from typing import Dict, List, Tuple, Union
 
 from .polynomials import LegendreSeries
-from .rationals import (
-    binomial,
-    falling_factorial,
-    format_rational,
-    parse_rational,
-    rising_factorial,
-)
+from .rationals import format_rational, parse_rational
 
 __all__ = [
     "DerivExpansion",
@@ -48,9 +45,6 @@ __all__ = [
     "murphy_deriv_series",
     "alpha_closed_recurrence",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 class DegeneratePivotError(ArithmeticError):
     """A diagonal entry of the coefficient-matching system vanished.
@@ -138,6 +132,24 @@ def deriv_expand_telescoping(n: int, k: int) -> DerivExpansion:
     return DerivExpansion(n, k, tuple(Fraction(current.get(n - k - 2 * i, 0)) for i in range(count)))
 
 
+def _murphy_scaled(n: int, k: int) -> List[int]:
+    """2^k times the z^j coefficients of d^k P_n, j = 0 ... n-k, as ints.
+
+    These are integers: P_n has the integer z^j coefficient
+    (-1)^j C(n,j) C(n+j,j) and each d/dx is -1/2 d/dz. Each term follows
+    from the one before by the ratio of its rising factorials; a division
+    that leaves a remainder means the ratio is wrong and raises.
+    """
+    term = comb(n, k) * perm(n + k, k)  # C(n,k) (n+1)_k
+    out: List[int] = []
+    for j in range(n - k + 1):
+        out.append(term)
+        term, rem = divmod(term * (k - n + j) * (n + k + 1 + j), (k + 1 + j) * (j + 1))
+        if rem:
+            raise ArithmeticError(f"inexact Murphy term {j + 1} for (n, k) = ({n}, {k})")
+    return out
+
+
 def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
     """z-power coefficients of d^k P_n, where z = (1-x)/2.
 
@@ -148,18 +160,15 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
 
     the returned tuple holds the exact coefficient of z^j at index j. Each
     term follows from the one before by the ratio of its rising factorials,
-    (k-n+j)(n+k+1+j) / ((k+1+j)(j+1)). Rejects k > n: the derivative is
-    zero there but this series form is not defined.
+    (k-n+j)(n+k+1+j) / ((k+1+j)(j+1)), applied in integers to 2^k times the
+    term. Rejects k > n: the derivative is zero there but this series form
+    is not defined.
     """
     _check_orders(n, k)
     if k > n:
         raise ValueError("series form requires k <= n")
-    term = binomial(n, k) * rising_factorial(n + 1, k) / Fraction(2) ** k
-    out: List[Fraction] = []
-    for j in range(n - k + 1):
-        out.append(term)
-        term *= Fraction((k - n + j) * (n + k + 1 + j), (k + 1 + j) * (j + 1))
-    return tuple(out)
+    scale = 2 ** k
+    return tuple(Fraction(t, scale) for t in _murphy_scaled(n, k))
 
 
 def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
@@ -170,49 +179,35 @@ def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
     every even offset N-j introduces exactly one new unknown, and the
     odd-offset rows -- redundant by construction -- are kept as consistency
     checks instead of being discarded, so a sign or index slip surfaces here
-    rather than downstream.
+    rather than downstream. Both sides are scaled by 2^k, so the rows are
+    integers and every unknown 2^k alpha_i stays an int while its division
+    is exact; the 2^k comes off once at the end.
     """
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())
     big_n = n - k
-    targets = murphy_deriv_series(n, k)
-    # z^j coefficients of P_N. The z^j coefficient of P_{N-2i} is
-    # basis_coeff(j, i) = top_row[j] * ff(N-j, 2i) / ff(N+j, 2i), ff the
-    # falling factorial; it is exactly zero whenever j exceeds N - 2i.
-    top_row = [Fraction(1)]  # (-N)_j (N+1)_j / (j!)^2, one ratio per step
-    for j in range(big_n):
-        top_row.append(top_row[-1] * Fraction((j - big_n) * (big_n + 1 + j), (j + 1) ** 2))
-
-    def next_basis_coeff(coeff: Fraction, j: int, i: int) -> Fraction:
-        """basis_coeff(j, i+1) from basis_coeff(j, i) = coeff.
-
-        The falling factorials each gain two factors; once an entry is 0
-        every later one is too, and the denominator may vanish there.
-        """
-        num = (big_n - j - 2 * i) * (big_n - j - 2 * i - 1)
-        if not coeff or not num:
-            return Fraction(0)
-        return coeff * Fraction(num, (big_n + j - 2 * i) * (big_n + j - 2 * i - 1))
-
-    alphas: List[Fraction] = []
+    scale = 2 ** k
+    targets = _murphy_scaled(n, k)
+    scaled: List[Union[int, Fraction]] = []  # 2^k alpha_i
     for j in range(big_n, -1, -1):
         offset = big_n - j
-        acc = Fraction(0)
-        coeff = top_row[j]  # basis_coeff(j, i), starting at i = 0
-        for i, alpha in enumerate(alphas):
-            acc += alpha * coeff
-            coeff = next_basis_coeff(coeff, j, i)
+        # z^j coefficient of P_m is (-1)^j C(m,j) C(m+j,j), 0 once j > m
+        sign = (-1) ** j
+        row = [sign * comb(m, j) * comb(m + j, j) for m in range(big_n, j - 1, -2)]
+        acc = sum(beta * entry for beta, entry in zip(scaled, row))
         if offset % 2 == 0:
-            pivot = coeff  # basis_coeff(j, offset // 2): one unknown per even offset
+            pivot = row[offset // 2]  # one unknown per even offset
             if pivot == 0:
                 raise DegeneratePivotError(f"vanishing pivot at row {j} for (n, k) = ({n}, {k})")
-            alphas.append((targets[j] - acc) / pivot)
+            quotient, rem = divmod(targets[j] - acc, pivot)
+            scaled.append(Fraction(targets[j] - acc, pivot) if rem else quotient)
         elif acc != targets[j]:
             raise ArithmeticError(
-                f"redundant row {j} violated for (n, k) = ({n}, {k}): {acc} != {targets[j]}"
+                f"redundant row {j} violated for (n, k) = ({n}, {k}): "
+                f"{Fraction(acc, scale)} != {Fraction(targets[j], scale)}"
             )
-    return DerivExpansion(n, k, tuple(alphas))
+    return DerivExpansion(n, k, tuple(Fraction(beta, scale) for beta in scaled))
 
 
 def alpha_closed_recurrence(n: int, k: int, i: int) -> Fraction:
@@ -236,20 +231,36 @@ def alpha_closed_recurrence(n: int, k: int, i: int) -> Fraction:
 
 
 def _alpha_values(n: int, k: int, top_i: int) -> List[Fraction]:
-    """Alphas for depths 0 ... top_i; the running list is the memo."""
+    """Alphas for depths 0 ... top_i; the running list is the memo.
+
+    With O(a, c) = prod_{t<c} (2a-1-2t), the half-integer falling factorial
+    (a-1/2)^(c_) is O(a, c) / 2^c, so the lead term is the integer ratio
+
+        lead_i = 2^i O(n,k) (n-i)^(i_) O(n-k,2i) / ((2i)! O(n,i)),
+
+    whose odd products and factorial are updated from one depth to the
+    next. The correction sums the earlier alphas over their common
+    denominator, so each alpha is one Fraction.
+    """
+    odd_nk = 1  # O(n, k)
+    for t in range(k):
+        odd_nk *= 2 * n - 1 - 2 * t
+    odd_lower = 1  # O(n-k, 2i)
+    odd_n = 1  # O(n, i)
+    even_fact = 1  # (2i)!
     values: List[Fraction] = []
     for i in range(top_i + 1):
-        lead = (
-            Fraction(2) ** (k + 2 * i)
-            * falling_factorial(n - _HALF, k)
-            * falling_factorial(n - i, i)
-            * falling_factorial(n - k - _HALF, 2 * i)
-            / (falling_factorial(2 * i, 2 * i) * falling_factorial(n - _HALF, i))
+        lead_num = 2 ** i * odd_nk * perm(n - i, i) * odd_lower
+        lead_den = even_fact * odd_n
+        den = lcm(*(v.denominator for v in values))
+        correction = sum(
+            comb(2 * (n - k - i - l), 2 * (i - l)) * v.numerator * (den // v.denominator)
+            for l, v in enumerate(values)
         )
-        correction = Fraction(0)
-        for l in range(i):
-            correction += comb(2 * (n - k - i - l), 2 * (i - l)) * values[l]
-        values.append(lead - correction)
+        values.append(Fraction(lead_num * den - correction * lead_den, lead_den * den))
+        odd_lower *= (2 * (n - k) - 1 - 4 * i) * (2 * (n - k) - 3 - 4 * i)
+        odd_n *= 2 * n - 1 - 2 * i
+        even_fact *= (2 * i + 1) * (2 * i + 2)
     return values
 
 

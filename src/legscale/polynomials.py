@@ -85,6 +85,18 @@ class Poly:
         return p
 
     @classmethod
+    def from_integer_form(cls, nums: Iterable[int], den: int = 1) -> "Poly":
+        """Poly with x^m coefficient nums[m] / den, for ints and any nonzero den."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial denominator must be nonzero")
+        return cls._of(list(nums), den)
+
+    @property
+    def integer_form(self) -> Tuple[Tuple[int, ...], int]:
+        """(numerators, denominator) in normal form; `from_integer_form` inverts it."""
+        return self._nums, self._den
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls()
 

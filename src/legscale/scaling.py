@@ -123,20 +123,35 @@ def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
 
 
 def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
-    """Weight of d^k P_{n-k} in P_n(lam*x): lam^(n-2k) (lam^2-1)^k / (2^k k!)."""
+    """Weight of d^k P_{n-k} in P_n(lam*x): lam^(n-2k) (lam^2-1)^k / (2^k k!).
+
+    With lam = p/q this is the integer ratio p^(n-2k) (p^2-q^2)^k / (q^n 2^k k!).
+    """
     _check_nk(n, k)
     factor = as_rational(lam)
-    return factor ** (n - 2 * k) * (factor * factor - 1) ** k / (Fraction(2) ** k * factorial(k))
+    p, q = factor.numerator, factor.denominator
+    return Fraction(p ** (n - 2 * k) * (p * p - q * q) ** k, q ** n * 2 ** k * factorial(k))
 
 
 def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
-    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
+    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2).
+
+    The integer ratio of `a_coefficient`, with (p^2-q^2)^k and q^n 2^k k!
+    carried from one k to the next.
+    """
     factor = as_rational(lam)
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return ScalingExpansion(
-        factor, n, FORM_DERIVATIVE, tuple(a_coefficient(factor, n, k) for k in range(n // 2 + 1))
-    )
+    p, q = factor.numerator, factor.denominator
+    shift = p * p - q * q
+    shift_power = 1  # (p^2-q^2)^k
+    den = q ** n  # q^n 2^k k!
+    coeffs = []
+    for k in range(n // 2 + 1):
+        coeffs.append(Fraction(p ** (n - 2 * k) * shift_power, den))
+        shift_power *= shift
+        den *= 2 * (k + 1)
+    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(coeffs))
 
 
 def _alpha_row(n: int, k: int) -> List[int]:

@@ -10,7 +10,11 @@ built from polynomial primitives alone. Each suite is one check run over
 its cases by a single sweep driver, and the first failing case in sweep
 order is recorded with full coefficient dumps of both sides, since an
 index-convention slip is the likeliest failure and raw dumps localize it
-immediately.
+immediately. The driver counts the cases it checked.
+
+The substitution x = 1 - 2z behind the surplus rows and the binomial sum
+behind the derivation replay run in Python integers over one common
+denominator; a Fraction is built per output coefficient only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import (
@@ -35,7 +39,7 @@ from .polynomials import (
     scale_argument,
     to_poly,
 )
-from .rationals import RationalLike, as_rational, binomial, format_rational
+from .rationals import RationalLike, as_rational, format_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
@@ -81,7 +85,12 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification sweep; passed iff no counterexample."""
+    """Outcome of one verification sweep; passed iff no counterexample.
+
+    ``cases`` counts the cases the sweep checked (up to and including the
+    first failing one). `to_json` leaves it out, so the structured report
+    is the same whatever the count.
+    """
 
     subject: str
     n_range: Tuple[int, int]
@@ -90,6 +99,7 @@ class VerificationReport:
     passed: bool
     counterexample: Optional[Counterexample]
     details: Dict[str, object] = field(default_factory=dict)
+    cases: int = 0
 
     def __post_init__(self) -> None:
         if self.passed != (self.counterexample is None):
@@ -132,13 +142,15 @@ def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
 _Check = Callable[..., Optional[Counterexample]]
 
 
-def _sweep(cases: Iterable[tuple], check: _Check) -> Optional[Counterexample]:
-    """The first counterexample `check` returns over `cases`, in sweep order."""
-    for params in cases:
+def _sweep(cases: Iterable[tuple], check: _Check) -> Tuple[Optional[Counterexample], int]:
+    """The first counterexample `check` returns over `cases`, in sweep order,
+    and the number of cases checked up to it (all of them if none fails)."""
+    count = 0
+    for count, params in enumerate(cases, 1):
         found = check(*params)
         if found is not None:
-            return found
-    return None
+            return found, count
+    return None, count
 
 
 def _report(
@@ -156,7 +168,7 @@ def _report(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counterexample = _sweep(cases, check)
+    counterexample, count = _sweep(cases, check)
     return VerificationReport(
         subject=subject,
         n_range=(0, n_max),
@@ -165,6 +177,7 @@ def _report(
         passed=counterexample is None,
         counterexample=counterexample,
         details=details if details is not None else {},
+        cases=count,
     )
 
 
@@ -265,16 +278,16 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
 
 
 def _to_z_coeffs(p: Poly, width: int) -> Tuple[Fraction, ...]:
-    """Coefficients of p written in powers of z, where x = 1 - 2z."""
-    substituted = Poly.zero()
-    power = Poly.one()
-    step = Poly((1, -2))
-    for m, c in enumerate(p.coeffs):
-        if m:
-            power = power * step
-        if c:
-            substituted = substituted + c * power
-    return tuple(substituted.coefficient(j) for j in range(width))
+    """Coefficients of p written in powers of z, where x = 1 - 2z.
+
+    With p = sum_m N_m x^m / D, expanding x^m = sum_j C(m,j) (-2z)^j gives
+    the z^j coefficient (-2)^j sum_{m>=j} N_m C(m,j) / D, summed in ints.
+    """
+    nums, den = p.integer_form
+    return tuple(
+        Fraction((-2) ** j * sum(c * comb(m, j) for m, c in enumerate(nums[j:], j)), den)
+        for j in range(width)
+    )
 
 
 def verify_surplus_rows(n_max: int) -> VerificationReport:
@@ -283,22 +296,28 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     The triangular solve determines one unknown per even offset; the
     odd-offset rows are over-determined. Here both row sides are rebuilt
     purely by polynomial substitution x = 1 - 2z and the solved alphas must
-    satisfy every such surplus row exactly.
+    satisfy every such surplus row exactly. The z-row of each basis
+    polynomial P_m is substituted once per call.
     """
+    z_rows: Dict[int, Tuple[Fraction, ...]] = {}  # m -> P_m in powers of z, m <= n_max
+
+    def z_row(m: int) -> Tuple[Fraction, ...]:
+        if m not in z_rows:
+            z_rows[m] = _to_z_coeffs(legendre_bonnet(m), m + 1)
+        return z_rows[m]
 
     def check(n: int, k: int) -> Optional[Counterexample]:
         big_n = n - k
         alphas = deriv_expand_triangular(n, k).alphas
         lhs_rows = _to_z_coeffs(differentiate(legendre_bonnet(n), k), big_n + 1)
-        basis_rows = [
-            _to_z_coeffs(legendre_bonnet(big_n - 2 * i), big_n + 1) for i in range(len(alphas))
-        ]
+        basis_rows = [z_row(big_n - 2 * i) for i in range(len(alphas))]
         for j in range(big_n + 1):
             if (big_n - j) % 2 == 0:
                 continue
             combined = Fraction(0)
             for alpha, row in zip(alphas, basis_rows):
-                combined += alpha * row[j]
+                if j < len(row):  # P_m has no z^j term past j = m
+                    combined += alpha * row[j]
             if combined != lhs_rows[j]:
                 return Counterexample(
                     {"n": n, "k": k, "row": j, "check": "surplus-row"},
@@ -336,21 +355,30 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
     times term by term, then apply the lam^n / (2^n n!) prefactor. lam = 0
     is rejected: this route divides by lam^2, unlike the coefficient
     formulas, which stay valid there.
+
+    With lam = p/q the sum times p^(2n) has the integer terms
+    C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and (x^2-1)^(k+1) is
+    x^2 (x^2-1)^k - (x^2-1)^k, a shift by two places and a subtraction.
     """
     factor = as_rational(lam)
     if factor == 0:
         raise ValueError("lambda must be nonzero for the derivation replay")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    shift = (factor * factor - 1) / (factor * factor)
-    ring = Poly((-1, 0, 1))  # x^2 - 1
-    power = Poly.one()
-    acc = Poly.zero()
+    p, q = factor.numerator, factor.denominator
+    shift = p * p - q * q
+    power = [1]  # numerators of (x^2-1)^k, ascending in x
+    p_power = 1  # p^(2k)
+    acc = [0] * (2 * n + 1)
     for k in range(n + 1):
         if k:
-            power = power * ring
-        acc = acc + (binomial(n, k) * shift ** (n - k)) * power
-    return (factor ** n / (Fraction(2) ** n * factorial(n))) * differentiate(acc, n)
+            power = [a - b for a, b in zip([0, 0] + power, power + [0, 0])]
+        weight = comb(n, k) * shift ** (n - k) * p_power
+        for m, c in enumerate(power):
+            acc[m] += weight * c
+        p_power *= p * p
+    summed = Poly.from_integer_form(acc, p ** (2 * n))
+    return (factor ** n / (Fraction(2) ** n * factorial(n))) * differentiate(summed, n)
 
 
 def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS) -> VerificationReport:

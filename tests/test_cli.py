@@ -204,6 +204,21 @@ class TestVerify:
         assert subjects == ["eq9", "eq13", "eq19", "eq24-rows", "eq26-vs-telescoping", "replay"]
         assert err.count("pass") == 6
 
+    def test_stderr_counts_cases(self, capsys):
+        # 7 default lambdas + 20 seeded ones (26 nonzero for replay), n <= 20:
+        # eq19 sweeps k <= n+2, eq24-rows and eq26 k <= n.
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "20", "--seed", "1")
+        assert code == 0
+        assert "cases" not in out
+        assert err.splitlines() == [
+            "eq9                     pass  567 cases",
+            "eq13                    pass  567 cases",
+            "eq19                    pass  273 cases",
+            "eq24-rows               pass  231 cases",
+            "eq26-vs-telescoping     pass  231 cases",
+            "replay                  pass  546 cases",
+        ]
+
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")
         assert code == 0

@@ -1,0 +1,142 @@
+"""The integer verification routes against the Fraction code they replaced.
+
+The closed recurrence, the Murphy series of the triangular route, the
+z-substitution behind the surplus rows, the derivation replay and the
+derivative-form weights all run in Python integers over one common
+denominator. Each is checked here
+by exact equality against a reference model written with Fractions and
+`Poly` products, as the routes were before.
+"""
+
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legscale import (
+    DEFAULT_LAMBDAS,
+    Poly,
+    a_coefficient,
+    binomial,
+    deriv_expand_recurrence,
+    differentiate,
+    falling_factorial,
+    expand_derivative_form,
+    legendre_bonnet,
+    murphy_deriv_series,
+    replay_rodrigues_derivation,
+    rising_factorial,
+)
+from legscale.verify import _to_z_coeffs
+
+# --- reference models ---
+
+
+def ref_z_coeffs(p: Poly, width: int):
+    """p in powers of z under x = 1 - 2z, by Poly products of (1 - 2z)^m."""
+    substituted = Poly.zero()
+    power = Poly.one()
+    step = Poly((1, -2))
+    for m, c in enumerate(p.coeffs):
+        if m:
+            power = power * step
+        if c:
+            substituted = substituted + c * power
+    return tuple(substituted.coefficient(j) for j in range(width))
+
+
+def ref_replay(lam: Fraction, n: int) -> Poly:
+    """The binomial sum of ((x^2-1) + (lam^2-1)/lam^2)^n as Poly products."""
+    shift = (lam * lam - 1) / (lam * lam)
+    ring = Poly((-1, 0, 1))
+    power = Poly.one()
+    acc = Poly.zero()
+    for k in range(n + 1):
+        if k:
+            power = power * ring
+        acc = acc + (binomial(n, k) * shift ** (n - k)) * power
+    return (lam ** n / (Fraction(2) ** n * factorial(n))) * differentiate(acc, n)
+
+
+def ref_murphy(n: int, k: int):
+    """The Murphy series of d^k P_n with a Fraction lead and Fraction ratios."""
+    term = binomial(n, k) * rising_factorial(n + 1, k) / Fraction(2) ** k
+    out = []
+    for j in range(n - k + 1):
+        out.append(term)
+        term *= Fraction((k - n + j) * (n + k + 1 + j), (k + 1 + j) * (j + 1))
+    return tuple(out)
+
+
+def ref_recurrence(n: int, k: int):
+    """The closed recurrence with half-integer Fraction falling factorials."""
+    half = Fraction(1, 2)
+    values = []
+    for i in range((n - k) // 2 + 1):
+        lead = (
+            Fraction(2) ** (k + 2 * i)
+            * falling_factorial(n - half, k)
+            * falling_factorial(n - i, i)
+            * falling_factorial(n - k - half, 2 * i)
+            / (falling_factorial(2 * i, 2 * i) * falling_factorial(n - half, i))
+        )
+        values.append(lead - sum(comb(2 * (n - k - i - l), 2 * (i - l)) * values[l] for l in range(i)))
+    return tuple(values)
+
+
+def ref_a(lam: Fraction, n: int, k: int) -> Fraction:
+    return lam ** (n - 2 * k) * (lam * lam - 1) ** k / (Fraction(2) ** k * factorial(k))
+
+
+# --- agreement ---
+
+
+def test_z_substitution_of_bonnet_polynomials():
+    for n in range(31):
+        p = legendre_bonnet(n)
+        assert _to_z_coeffs(p, n + 1) == ref_z_coeffs(p, n + 1), n
+        # P_n has the z^j coefficient (-1)^j C(n,j) C(n+j,j)
+        assert _to_z_coeffs(p, n + 1) == tuple(
+            (-1) ** j * binomial(n, j) * binomial(n + j, j) for j in range(n + 1)
+        )
+
+
+@given(
+    coeffs=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=15), max_size=12),
+    extra=st.integers(0, 3),
+)
+@settings(deadline=None, max_examples=60)
+def test_z_substitution_of_drawn_polynomials(coeffs, extra):
+    p = Poly(coeffs)
+    width = len(coeffs) + extra  # entries past the degree are zero
+    assert _to_z_coeffs(p, width) == ref_z_coeffs(p, width)
+
+
+@pytest.mark.parametrize("lam", [Fraction(s) for s in ("1", "-1", "2", "-3/5", "7/3")], ids=str)
+def test_replay_matches_poly_products(lam):
+    for n in range(13):
+        assert replay_rodrigues_derivation(lam, n) == ref_replay(lam, n), n
+
+
+def test_recurrence_matches_half_integer_falling_factorials():
+    for n in range(25):
+        for k in range(n + 1):
+            assert deriv_expand_recurrence(n, k).alphas == ref_recurrence(n, k), (n, k)
+
+
+def test_murphy_series_matches_rising_factorials():
+    for n in range(41):
+        for k in range(n + 1):
+            assert murphy_deriv_series(n, k) == ref_murphy(n, k), (n, k)
+
+
+@pytest.mark.parametrize(
+    "lam", DEFAULT_LAMBDAS + tuple(Fraction(s) for s in ("-2", "-1/2", "17/7", "-9/4")), ids=str
+)
+def test_a_weights_match_fraction_formula(lam):
+    for n in range(31):
+        expected = tuple(ref_a(lam, n, k) for k in range(n // 2 + 1))
+        assert expand_derivative_form(lam, n).coeffs == expected, n
+        assert tuple(a_coefficient(lam, n, k) for k in range(n // 2 + 1)) == expected, n

@@ -9,6 +9,7 @@ replaced.
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,22 @@ def test_equal_values_compare_and_hash_equal(a, scale, s):
         assert same.coeffs == p.coeffs
     assert (rescaled - p).is_zero
     assert (rescaled - p).degree is None
+
+
+@given(a=coefficient_lists, scale=st.integers(-30, 30).filter(bool))
+@settings(deadline=None, max_examples=50)
+def test_integer_form_round_trip(a, scale):
+    p = Poly(a)
+    nums, den = p.integer_form
+    assert den > 0
+    assert [Fraction(c, den) for c in nums] == ref(a)
+    assert Poly.from_integer_form(nums, den) == p
+    assert Poly.from_integer_form([c * scale for c in nums], den * scale) == p
+
+
+def test_integer_form_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_integer_form([1, 2], 0)
 
 
 def test_negative_denominator_is_normalised():

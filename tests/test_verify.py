@@ -178,6 +178,7 @@ class TestReportMachinery:
         assert report.counterexample.params == {
             "n": 3, "k": 2, "check": "telescoping-vs-recurrence"
         }
+        assert report.cases == 3 + 4 + 5 + 3  # k <= n+2 for n < 3, then k = 0, 1, 2
 
     def test_first_failure_eq24_rows(self, monkeypatch):
         corrupted = _bump_first_alpha(deriv_expand_triangular, {(3, 1), (4, 0)})
