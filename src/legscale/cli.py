@@ -9,15 +9,10 @@ rendering is opt-in and confined to this layer.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import verify as verification
-from .derivatives import deriv_expand_closed
 from .polynomials import legendre_bonnet
 from .rationals import format_rational, parse_rational
 from .scaling import (
@@ -29,6 +24,13 @@ from .scaling import (
     expand_legendre_form,
 )
 
+if TYPE_CHECKING:
+    from .verify import VerificationReport
+
+# Each command imports the modules only it runs (`verify`, `derivatives`,
+# `json`, `csv`) when it runs, so a process loads no more than its command
+# needs: start-up is a large share of a short invocation.
+
 __all__ = ["main", "run", "format_decimal"]
 
 EXIT_OK = 0
@@ -38,6 +40,14 @@ EXIT_IO = 3
 
 RANDOM_LAMBDA_COUNT = 20
 SUITES = ("all", "eq9", "eq13", "eq19", "eq26", "replay")
+
+# Bounds on --x, checked before the text is read as a number, since
+# Fraction("1e999999999") would build a 10^999999999 integer.
+MAX_POINT_DIGITS = 1000
+MAX_POINT_EXPONENT = 1000
+# `eval` refuses a value with more integer digits than this instead of
+# rendering it: str() of a longer int exceeds Python's 4300-digit limit.
+MAX_VALUE_DIGITS = 4000
 
 
 class UsageError(Exception):
@@ -82,6 +92,11 @@ def _parse_point(text: str) -> Fraction:
     try:
         if not text.isascii():
             raise ValueError
+        if sum(ch.isdigit() for ch in text) > MAX_POINT_DIGITS:
+            raise UsageError(f"evaluation point has more than {MAX_POINT_DIGITS} digits")
+        _, marker, exponent = text.lower().partition("e")
+        if marker and abs(int(exponent)) > MAX_POINT_EXPONENT:
+            raise UsageError(f"evaluation point exponent lies outside +-{MAX_POINT_EXPONENT}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"invalid evaluation point: {text!r}") from None
@@ -101,6 +116,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
@@ -109,6 +127,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _json_text(payload: object) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -134,6 +154,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.digits is not None:
             cells["float"] = format_decimal(value, args.digits)
         return cells
+
+    if args.kind == "alpha":
+        from .derivatives import deriv_expand_closed
 
     rows: List[Dict[str, object]] = []
     for n in range(args.n_max + 1):
@@ -182,6 +205,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         for flag, value in (("--lambda", args.lam), ("--form", args.form)):
             if value is not None:
                 raise UsageError(f"{flag} does not apply to derivative expansions")
+        from .derivatives import deriv_expand_closed
+
         derivative = deriv_expand_closed(args.n, args.k)
         if args.format == "csv":
             text = _csv_text(
@@ -197,7 +222,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_reports(args: argparse.Namespace) -> List[verification.VerificationReport]:
+def _verify_reports(args: argparse.Namespace) -> List[VerificationReport]:
+    from . import verify as verification
+
     if args.suite in ("eq19", "eq26"):  # the derivative suites sweep no lambda
         for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
             if value is not None:
@@ -212,7 +239,7 @@ def _verify_reports(args: argparse.Namespace) -> List[verification.VerificationR
         lambdas = lambdas + verification.random_lambdas(RANDOM_LAMBDA_COUNT, args.seed)
     replay_lambdas = tuple(v for v in lambdas if v != 0)
 
-    reports: List[verification.VerificationReport] = []
+    reports: List[VerificationReport] = []
     wanted = ("eq9", "eq13", "eq19", "eq26", "replay") if args.suite == "all" else (args.suite,)
     for suite in wanted:
         if suite == "eq9":
@@ -236,6 +263,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in reports)
 
     if args.format == "csv":
+        import json
+
         header = ["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"]
         rows = []
         for r in reports:
@@ -278,6 +307,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for k, c in enumerate(_scaling_expansion(form, lam, args.n).coeffs):
             if c:  # at lambda = 0, 1, -1 most weights are 0: build no basis for them
                 value += c * basis_polynomial(form, args.n, k).evaluate(point)
+    if abs(value) >= 10 ** MAX_VALUE_DIGITS:
+        raise UsageError(f"P_n(lambda*x) has more than {MAX_VALUE_DIGITS} digits before the point")
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK
 

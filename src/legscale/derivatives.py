@@ -27,13 +27,12 @@ signals a bug; the verification module sweeps exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
 from typing import Dict, List, Tuple, Union
 
 from .polynomials import LegendreSeries
-from .rationals import format_rational, parse_rational
+from .rationals import Record, format_rational, parse_rational
 
 __all__ = [
     "DerivExpansion",
@@ -54,14 +53,14 @@ class DegeneratePivotError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class DerivExpansion:
+class DerivExpansion(Record):
     """Coefficients of d^k/dx^k P_n as a combination of P_{n-k-2i}.
 
     ``alphas[i]`` multiplies P_{n-k-2i} for i = 0 ... floor((n-k)/2). The
     tuple is empty when k > n, where the derivative is identically zero.
     """
 
+    __slots__ = ("n", "k", "alphas")
     n: int
     k: int
     alphas: Tuple[Fraction, ...]

@@ -1,4 +1,5 @@
-"""Exact rational scalars and the combinatorial primitives built on them.
+"""Exact rational scalars, the combinatorial primitives built on them, and
+the immutable record base of the package's value types.
 
 Every coefficient in this package is a `fractions.Fraction`; no floating
 point enters any exact computation. Half-integer arguments such as n - 1/2
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Dict, Union
 
 __all__ = [
+    "Record",
     "Rational",
     "RationalLike",
     "as_rational",
@@ -102,3 +104,72 @@ def binomial(n: int, k: int) -> Fraction:
     if k > n:
         return Fraction(0)
     return Fraction(math.comb(n, k))
+
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A slotted stand-in for a frozen dataclass, which would import
+    `dataclasses` (and through it `inspect` and `ast`) in every process. A
+    subclass lists its fields in order in ``__slots__`` (its annotations
+    document their types) and may map trailing fields to zero-argument
+    factories in ``_defaults``. Fields are set from positional or keyword
+    arguments, then ``__post_init__`` validates them. Records compare and
+    hash as the tuple of their fields, refuse assignment, pickle, and print
+    as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _defaults: Dict[str, Callable[[], object]] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: Dict[str, object]) -> tuple:
+        """Field values in order from positional, keyword and default values."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                if name not in cls._defaults:
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                values[name] = cls._defaults[name]()
+        return tuple(values[name] for name in names)
+
+    def __post_init__(self) -> None:
+        """Check the fields; the base accepts any values."""
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -23,13 +23,12 @@ P_n(0) is reachable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, Tuple
 
 from .polynomials import Poly, differentiate, legendre_bonnet
-from .rationals import RationalLike, as_rational, format_rational, parse_rational
+from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
 
 __all__ = [
     "FORM_DERIVATIVE",
@@ -50,8 +49,7 @@ FORM_DERIVATIVE = "derivative"
 FORM_LEGENDRE = "legendre"
 
 
-@dataclass(frozen=True)
-class ScalingExpansion:
+class ScalingExpansion(Record):
     """Coefficient map for one expansion of P_n(lam*x).
 
     ``coeffs[k]``, k = 0 ... floor(n/2), multiplies d^k P_{n-k} in the
@@ -60,6 +58,7 @@ class ScalingExpansion:
     admissible k is listed.
     """
 
+    __slots__ = ("lam", "n", "form", "coeffs")
     lam: Fraction
     n: int
     form: str

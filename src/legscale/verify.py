@@ -12,17 +12,16 @@ order is recorded with full coefficient dumps of both sides, since an
 index-convention slip is the likeliest failure and raw dumps localize it
 immediately. The driver counts the cases it checked.
 
-The substitution x = 1 - 2z behind the surplus rows and the binomial sum
-behind the derivation replay run in Python integers over one common
-denominator; a Fraction is built per output coefficient only.
+The eq9/eq13 reconstruction, the substitution x = 1 - 2z behind the
+surplus rows and the binomial sum behind the derivation replay run in
+Python integers over one common denominator; a Fraction is built per
+output coefficient only.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import (
@@ -39,7 +38,7 @@ from .polynomials import (
     scale_argument,
     to_poly,
 )
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
@@ -71,10 +70,10 @@ DEFAULT_LAMBDAS: Tuple[Fraction, ...] = tuple(
 NONZERO_LAMBDAS: Tuple[Fraction, ...] = tuple(v for v in DEFAULT_LAMBDAS if v != 0)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Failing parameters plus the full coefficient lists of both sides."""
 
+    __slots__ = ("params", "lhs", "rhs")
     params: Dict[str, object]
     lhs: Tuple[str, ...]
     rhs: Tuple[str, ...]
@@ -83,23 +82,27 @@ class Counterexample:
         return {"params": dict(self.params), "lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification sweep; passed iff no counterexample.
 
     ``cases`` counts the cases the sweep checked (up to and including the
     first failing one). `to_json` leaves it out, so the structured report
-    is the same whatever the count.
+    is the same whatever the count. ``details`` defaults to a new empty
+    dict and ``cases`` to 0.
     """
 
+    __slots__ = (
+        "subject", "n_range", "k_range", "lambdas", "passed", "counterexample", "details", "cases"
+    )
+    _defaults = {"details": dict, "cases": int}
     subject: str
     n_range: Tuple[int, int]
     k_range: Optional[Tuple[int, int]]
     lambdas: Optional[Tuple[Fraction, ...]]
     passed: bool
     counterexample: Optional[Counterexample]
-    details: Dict[str, object] = field(default_factory=dict)
-    cases: int = 0
+    details: Dict[str, object]
+    cases: int
 
     def __post_init__(self) -> None:
         if self.passed != (self.counterexample is None):
@@ -181,6 +184,27 @@ def _report(
     )
 
 
+def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:
+    """sum_k coeffs[k] * parts[k], summed in ints over one common denominator.
+
+    With coeffs[k] = p_k/q_k and parts[k] = N_k/D_k, term k is
+    p_k N_k / (q_k D_k); every term is brought to the lcm of the q_k D_k
+    and one Poly is normalised at the end. Zero weights are skipped.
+    """
+    terms = []
+    for c, part in zip(coeffs, parts):
+        if c:
+            nums, den = part.integer_form
+            terms.append((c.numerator, c.denominator * den, nums))
+    common = lcm(*(den for _, den, _ in terms))
+    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
+    for p, den, nums in terms:
+        scale = p * (common // den)
+        for m, c in enumerate(nums):
+            acc[m] += scale * c
+    return Poly.from_integer_form(acc, common)
+
+
 def verify_scaling_identity(
     n_max: int,
     lambdas: Sequence[RationalLike] = DEFAULT_LAMBDAS,
@@ -209,10 +233,7 @@ def verify_scaling_identity(
                 details["limit_variants_agree"] = False
         else:
             expansion = expand_derivative_form(lam, n)
-        rebuilt = Poly.zero()
-        for c, part in zip(expansion.coeffs, parts):
-            if c:
-                rebuilt = rebuilt + c * part
+        rebuilt = _combination(expansion.coeffs, parts)
         params = {"n": n, "lambda": format_rational(lam), "check": "reconstruction"}
         if rebuilt != target:
             return _poly_mismatch(params, rebuilt, target)
@@ -404,6 +425,8 @@ def random_lambdas(
     count: int, seed: int, max_numerator: int = 9, max_denominator: int = 9
 ) -> Tuple[Fraction, ...]:
     """Seeded rational sample for sweep extension; reproducible across runs."""
+    import random  # only a seeded sweep needs it
+
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = random.Random(seed)

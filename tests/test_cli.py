@@ -342,6 +342,40 @@ class TestEval:
         )[0] == 2
 
 
+    @pytest.mark.parametrize(
+        "x", ["1e1001", "-1E-1001", "1e999999999", "1" * 1001, "0." + "0" * 1000 + "1"]
+    )
+    def test_point_beyond_its_bounds_is_usage_error(self, capsys, x):
+        code, out, err = run_cli(capsys, "eval", "--n", "1", "--lambda", "1", "--x", x)
+        assert (code, out) == (2, "")
+        assert "evaluation point" in err
+
+    def test_point_bounds_are_checked_before_the_text_is_read(self, capsys, monkeypatch):
+        read = []
+
+        def spy(*args):
+            read.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(legscale.cli, "Fraction", spy)
+        assert run_cli(capsys, "eval", "--n", "1", "--lambda", "1", "--x", "1e999999999")[0] == 2
+        assert read == []
+
+    def test_points_at_the_bounds_are_read(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--n", "1", "--lambda", "1", "--x", "1e1000", "--digits", "1")
+        assert (code, out) == (0, "1" + "0" * 1000 + ".0\n")
+        code, out, _ = run_cli(capsys, "eval", "--n", "1", "--lambda", "1", "--x", "-1E-1000")
+        assert (code, out) == (0, "0.0\n")
+        code, out, _ = run_cli(capsys, "eval", "--n", "1", "--lambda", "1", "--x", "7" * 1000, "--digits", "1")
+        assert (code, out) == (0, "7" * 1000 + ".0\n")
+
+    def test_value_too_long_to_render_is_usage_error(self, capsys):
+        # P_5(10^1000) has 5000 digits before the point; str() of it would raise.
+        code, out, err = run_cli(capsys, "eval", "--n", "5", "--lambda", "1", "--x", "1e1000")
+        assert (code, out) == (2, "")
+        assert "more than 4000 digits" in err
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ("verify", "all", "--n-max", "5", "--seed", "11")

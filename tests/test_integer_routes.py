@@ -1,9 +1,9 @@
 """The integer verification routes against the Fraction code they replaced.
 
 The closed recurrence, the Murphy series of the triangular route, the
-z-substitution behind the surplus rows, the derivation replay and the
-derivative-form weights all run in Python integers over one common
-denominator. Each is checked here
+z-substitution behind the surplus rows, the derivation replay, the eq9/eq13
+reconstruction and the derivative-form weights all run in Python integers
+over one common denominator. Each is checked here
 by exact equality against a reference model written with Fractions and
 `Poly` products, as the routes were before.
 """
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from legscale import (
     DEFAULT_LAMBDAS,
+    FORM_DERIVATIVE,
+    FORM_LEGENDRE,
     Poly,
     a_coefficient,
     binomial,
@@ -24,12 +26,14 @@ from legscale import (
     differentiate,
     falling_factorial,
     expand_derivative_form,
+    expand_legendre_form,
+    expansion_basis,
     legendre_bonnet,
     murphy_deriv_series,
     replay_rodrigues_derivation,
     rising_factorial,
 )
-from legscale.verify import _to_z_coeffs
+from legscale.verify import _combination, _to_z_coeffs
 
 # --- reference models ---
 
@@ -45,6 +49,16 @@ def ref_z_coeffs(p: Poly, width: int):
         if c:
             substituted = substituted + c * power
     return tuple(substituted.coefficient(j) for j in range(width))
+
+
+def ref_combination(coeffs, parts) -> Poly:
+    """sum_k coeffs[k] * parts[k] as one Poly product and one Poly sum per
+    nonzero weight, as the eq9/eq13 reconstruction was written."""
+    rebuilt = Poly.zero()
+    for c, part in zip(coeffs, parts):
+        if c:
+            rebuilt = rebuilt + c * part
+    return rebuilt
 
 
 def ref_replay(lam: Fraction, n: int) -> Poly:
@@ -140,3 +154,28 @@ def test_a_weights_match_fraction_formula(lam):
         expected = tuple(ref_a(lam, n, k) for k in range(n // 2 + 1))
         assert expand_derivative_form(lam, n).coeffs == expected, n
         assert tuple(a_coefficient(lam, n, k) for k in range(n // 2 + 1)) == expected, n
+
+
+@pytest.mark.parametrize("form", (FORM_DERIVATIVE, FORM_LEGENDRE))
+def test_reconstruction_matches_poly_sums(form):
+    expand = expand_derivative_form if form == FORM_DERIVATIVE else expand_legendre_form
+    lambdas = DEFAULT_LAMBDAS + tuple(Fraction(s) for s in ("-2", "17/7", "-9/4"))
+    for n in range(25):
+        parts = expansion_basis(form, n)
+        for lam in lambdas:
+            coeffs = expand(lam, n).coeffs
+            assert _combination(coeffs, parts) == ref_combination(coeffs, parts), (n, lam)
+
+
+@given(
+    n=st.integers(0, 16),
+    form=st.sampled_from((FORM_DERIVATIVE, FORM_LEGENDRE)),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=60)
+def test_reconstruction_of_drawn_weights(n, form, data):
+    # Drawn weights, zeros among them, so terms cancel and denominators mix.
+    weight = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=15))
+    coeffs = data.draw(st.lists(weight, min_size=n // 2 + 1, max_size=n // 2 + 1))
+    parts = expansion_basis(form, n)
+    assert _combination(coeffs, parts) == ref_combination(coeffs, parts)

@@ -1,0 +1,128 @@
+"""The immutable value records (`rationals.Record` and its four subclasses)
+keep what the frozen dataclasses they replaced gave: value equality and
+hashing, refused assignment, the dataclass-style repr, `__post_init__`
+validation (also through `from_json`) and unshared defaults."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from legscale import (
+    FORM_DERIVATIVE,
+    FORM_LEGENDRE,
+    Counterexample,
+    DerivExpansion,
+    ScalingExpansion,
+    VerificationReport,
+)
+
+# Two independently built but equal instances of each record, and a third
+# that differs in one field. Records holding a dict are unhashable, as the
+# frozen dataclasses were.
+CASES = {
+    "DerivExpansion": (
+        lambda: DerivExpansion(3, 1, (Fraction(5), Fraction(1))),
+        lambda: DerivExpansion(3, 1, (Fraction(5), Fraction(2))),
+        True,
+    ),
+    "ScalingExpansion": (
+        lambda: ScalingExpansion(Fraction(2), 2, FORM_LEGENDRE, (Fraction(4), Fraction(3, 2))),
+        lambda: ScalingExpansion(Fraction(2), 2, FORM_DERIVATIVE, (Fraction(4), Fraction(3, 2))),
+        True,
+    ),
+    "Counterexample": (
+        lambda: Counterexample({"n": 2}, ("1",), ("2",)),
+        lambda: Counterexample({"n": 3}, ("1",), ("2",)),
+        False,
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport("eq9", (0, 4), (0, 2), (Fraction(1, 2),), True, None),
+        lambda: VerificationReport("eq9", (0, 4), (0, 2), (Fraction(1, 2),), True, None, cases=3),
+        False,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_equal_values_compare_equal(case):
+    make, make_other, hashable = case
+    assert make() == make()
+    assert make() is not make()
+    assert make() != make_other()
+    assert make() != tuple(getattr(make(), f) for f in type(make()).__slots__)
+    if hashable:
+        assert hash(make()) == hash(make())
+        assert len({make(), make(), make_other()}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(make())
+
+
+def test_fields_cannot_be_assigned_or_deleted(case):
+    record = case[0]()
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_repr_names_every_field(case):
+    record = case[0]()
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in type(record).__slots__)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+def test_pickle_round_trip(case):
+    record = case[0]()
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_keyword_and_positional_construction_agree():
+    assert DerivExpansion(n=3, k=1, alphas=(Fraction(5), Fraction(1))) == CASES["DerivExpansion"][0]()
+    with pytest.raises(TypeError):
+        DerivExpansion(3, 1)  # missing field
+    with pytest.raises(TypeError):
+        DerivExpansion(3, 1, (), 4)  # too many fields
+    with pytest.raises(TypeError):
+        DerivExpansion(3, 1, (), n=3)  # field given twice
+    with pytest.raises(TypeError):
+        DerivExpansion(3, 1, alphas=(), order=2)  # no such field
+
+
+def test_wrong_length_coefficients_raise():
+    with pytest.raises(ValueError):
+        DerivExpansion(3, 1, (Fraction(5),))
+    with pytest.raises(ValueError):
+        ScalingExpansion(Fraction(2), 4, FORM_LEGENDRE, (Fraction(1),) * 4)
+    with pytest.raises(ValueError):
+        ScalingExpansion(Fraction(2), 2, "monomial", (Fraction(1), Fraction(0)))
+
+
+def test_from_json_input_is_validated():
+    # from_json builds a dense tuple of the length n asks for, so the shape
+    # check fires on a bad degree or form in the JSON.
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": -1, "k": 0, "alphas": {}})
+    with pytest.raises(ValueError):
+        ScalingExpansion.from_json({"lambda": "2", "n": -2, "form": FORM_LEGENDRE, "coeffs": {}})
+    with pytest.raises(ValueError):
+        ScalingExpansion.from_json({"lambda": "2", "n": 2, "form": "monomial", "coeffs": {"0": "1"}})
+
+
+def test_report_validates_and_keeps_defaults_apart():
+    with pytest.raises(ValueError):
+        VerificationReport("eq9", (0, 1), None, None, False, None)
+    first = VerificationReport("eq9", (0, 1), None, None, True, None)
+    second = VerificationReport("eq9", (0, 1), None, None, True, None)
+    assert (first.details, first.cases) == ({}, 0)
+    first.details["limit_variants_agree"] = False
+    assert second.details == {}
+    assert first.details is not second.details

@@ -1,0 +1,101 @@
+"""Start-up cost: `import legscale.cli` and the light commands load only the
+modules they run, and the package's lazy exports behave like eager ones."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import legscale
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Modules a light command must not load: `dataclasses` pulls in `inspect`
+# and `ast`; `json` and `csv` serve output formats; `verify` and
+# `derivatives` serve other commands.
+HEAVY = {"dataclasses", "inspect", "json", "csv", "legscale.verify", "legscale.derivatives"}
+
+
+def loaded_modules(code: str) -> set:
+    """The modules in sys.modules after a fresh interpreter runs `code`."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    script = code + "\nimport sys\nsys.stderr.write('\\n' + '\\n'.join(sorted(sys.modules)))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split("\n"))
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return loaded_modules("pass")
+
+
+@pytest.mark.parametrize(
+    "code, allowed",
+    [
+        ("import legscale.cli", set()),
+        (
+            "from legscale.cli import main\n"
+            "main(['eval', '--method', 'direct', '--n', '5', '--lambda', '7/3', '--x', '3/8'])",
+            set(),
+        ),
+        ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", {"csv"}),
+    ],
+    ids=["cli", "eval direct", "table a"],
+)
+def test_light_paths_load_no_heavy_module(baseline, code, allowed):
+    added = loaded_modules(code) - baseline
+    assert not added & (HEAVY - allowed), sorted(added)
+
+
+def test_package_import_loads_no_submodule(baseline):
+    added = loaded_modules("import legscale") - baseline
+    assert sorted(m for m in added if m.startswith("legscale")) == ["legscale"]
+
+
+def test_no_module_imports_dataclasses(baseline):
+    code = "import legscale.cli, legscale.verify, legscale.derivatives, legscale.scaling"
+    assert "dataclasses" not in loaded_modules(code) - baseline
+
+
+def test_submodules_are_attributes_after_import_legscale(baseline):
+    code = (
+        "import legscale\n"
+        "assert legscale.verify.verify_replay(2).passed\n"
+        "assert legscale.derivatives.deriv_expand_closed is legscale.deriv_expand_closed\n"
+    )
+    assert "legscale.verify" in loaded_modules(code) - baseline
+
+
+def test_every_export_is_its_submodule_object():
+    assert list(legscale._EXPORTS) == legscale.__all__
+    for name, module in legscale._EXPORTS.items():
+        submodule = importlib.import_module(f"legscale.{module}")
+        assert name in submodule.__all__, name
+        assert getattr(legscale, name) is getattr(submodule, name), name
+
+
+def test_dir_lists_exports_and_submodules():
+    listed = dir(legscale)
+    assert set(legscale.__all__) <= set(listed)
+    assert {"cli", "verify", "derivatives", "__version__"} <= set(listed)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        legscale.no_such_name
+    assert not hasattr(legscale, "verify_everything")
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from legscale import *", namespace)
+    assert {name: namespace[name] for name in legscale.__all__} == {
+        name: getattr(legscale, name) for name in legscale.__all__
+    }
