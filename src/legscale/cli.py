@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import legendre_bonnet
 from .rationals import format_rational, parse_rational
@@ -45,9 +45,10 @@ SUITES = ("all", "eq9", "eq13", "eq19", "eq26", "replay")
 # Fraction("1e999999999") would build a 10^999999999 integer.
 MAX_POINT_DIGITS = 1000
 MAX_POINT_EXPONENT = 1000
-# `eval` refuses a value with more integer digits than this instead of
-# rendering it: str() of a longer int exceeds Python's 4300-digit limit.
+# A value to print is refused past this many digits (eval's integer part, an
+# exact numerator or denominator): str() of a longer int raises past 4300.
 MAX_VALUE_DIGITS = 4000
+_VALUE_LIMIT = 10 ** MAX_VALUE_DIGITS
 
 
 class UsageError(Exception):
@@ -102,6 +103,12 @@ def _parse_point(text: str) -> Fraction:
         raise UsageError(f"invalid evaluation point: {text!r}") from None
 
 
+def _check_printable(values: Iterable[Union[Fraction, int]]) -> None:
+    """Refuse (exit 2) to print a value whose numerator or denominator is too long."""
+    if any(max(abs(v.numerator), v.denominator) >= _VALUE_LIMIT for v in values):
+        raise UsageError(f"a value to print has more than {MAX_VALUE_DIGITS} digits")
+
+
 def _check_digits(digits: int) -> None:
     if not 1 <= digits <= 50:
         raise UsageError("digits must lie in 1..50")
@@ -150,6 +157,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
 
     def row(value: Fraction, **index: int) -> Dict[str, object]:
+        _check_printable((value,))
         cells: Dict[str, object] = {**index, "value": format_rational(value)}
         if args.digits is not None:
             cells["float"] = format_decimal(value, args.digits)
@@ -192,6 +200,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
         expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
+        _check_printable(expansion.coeffs)
         if args.format == "csv":
             text = _csv_text(
                 ["k", "value"],
@@ -208,6 +217,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         from .derivatives import deriv_expand_closed
 
         derivative = deriv_expand_closed(args.n, args.k)
+        _check_printable(derivative.alphas)
         if args.format == "csv":
             text = _csv_text(
                 ["degree", "value"],
@@ -307,8 +317,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for k, c in enumerate(_scaling_expansion(form, lam, args.n).coeffs):
             if c:  # at lambda = 0, 1, -1 most weights are 0: build no basis for them
                 value += c * basis_polynomial(form, args.n, k).evaluate(point)
-    if abs(value) >= 10 ** MAX_VALUE_DIGITS:
-        raise UsageError(f"P_n(lambda*x) has more than {MAX_VALUE_DIGITS} digits before the point")
+    _check_printable((int(value),))  # the decimal rendering prints the integer part in full
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK
 

@@ -17,9 +17,11 @@ Four independent routes produce the same alpha set:
 
       alpha_m = (2m+1) * C(k+i-1, i) * prod_{t=0}^{k-2} (2(n-k-i) + 3 + 2t).
 
-The closed form is the production route; the other three verify it. All
-four run in Python integers over one common denominator per value and build
-one Fraction per output alpha.
+The closed form is the production route; the other three verify it. Its
+integer kernel has one owner, `polynomials._doha_alphas`, which
+`deriv_expand_closed` wraps and `scaling` composes into the Legendre form.
+All four run in Python integers over one common denominator per value and
+build one Fraction per output alpha.
 
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import comb, lcm, perm
 from typing import Dict, List, Tuple, Union
 
-from .polynomials import LegendreSeries
+from .polynomials import LegendreSeries, _doha_alphas
 from .rationals import Record, format_rational, parse_rational
 
 __all__ = [
@@ -101,8 +103,11 @@ class DerivExpansion(Record):
     def from_json(cls, data) -> "DerivExpansion":
         n, k = int(data["n"]), int(data["k"])
         by_degree = {int(m): parse_rational(c) for m, c in data["alphas"].items()}
-        count = 0 if k > n else (n - k) // 2 + 1
-        return cls(n, k, tuple(by_degree.get(n - k - 2 * i, Fraction(0)) for i in range(count)))
+        degrees = range(n - k, -1, -2)  # n-k, n-k-2, ..., 0 or 1; empty when k > n
+        stray = [m for m in by_degree if m not in degrees]
+        if stray:
+            raise ValueError(f"d^{k} P_{n} has no Legendre degree {stray[0]}")
+        return cls(n, k, tuple(by_degree.get(m, Fraction(0)) for m in degrees))
 
 
 def _check_orders(n: int, k: int) -> None:
@@ -272,23 +277,8 @@ def deriv_expand_recurrence(n: int, k: int) -> DerivExpansion:
 
 
 def deriv_expand_closed(n: int, k: int) -> DerivExpansion:
-    """Full expansion from the closed form, in integer arithmetic.
-
-    The odd-factor product for depth i+1 follows from the one for depth i:
-    multiply by 2(n-k-i)+1, then divide exactly by 2(n-i)-1.
-    """
+    """Full expansion from Doha's closed form (`polynomials._doha_alphas`)."""
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())
-    count = (n - k) // 2 + 1
-    if k == 0:
-        return DerivExpansion(n, 0, (Fraction(1),) + (Fraction(0),) * (count - 1))
-    odd_run = 1
-    for t in range(k - 1):
-        odd_run *= 2 * (n - k) + 3 + 2 * t
-    alphas: List[Fraction] = []
-    for i in range(count):
-        m = n - k - 2 * i
-        alphas.append(Fraction((2 * m + 1) * comb(k + i - 1, i) * odd_run))
-        odd_run = odd_run * (2 * (n - k - i) + 1) // (2 * (n - i) - 1)
-    return DerivExpansion(n, k, tuple(alphas))
+    return DerivExpansion(n, k, tuple(Fraction(a) for a in _doha_alphas(n, k)))

@@ -3,10 +3,12 @@
 Three independent ways of building P_n live here (three-term recurrence,
 repeated differentiation of (x^2-1)^n, terminating Gauss series), together
 with the formal operations every identity check rests on: differentiation,
-argument scaling, the exact inner product on [-1, 1], and projection onto
-the Legendre basis. A `Poly` holds int numerators over one denominator, so
-all of these run in Python integers; Fractions are built only where values
-leave a polynomial.
+argument scaling, the exact inner product on [-1, 1], projection onto the
+Legendre basis and the integer linear combination of polynomials. A `Poly`
+holds int numerators over one denominator, so all of these run in Python
+integers; Fractions are built only where values leave a polynomial.
+The integer kernel of Doha's closed form for d^k P_n (`_doha_alphas`)
+lives here, below both `derivatives` and `scaling`, which read it.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .rationals import (
-    RationalLike,
-    as_rational,
-    format_rational,
-    parse_rational,
-    rising_factorial,
-)
+from .rationals import RationalLike, as_rational, format_rational, parse_rational
 
 __all__ = [
     "Poly",
@@ -355,21 +351,16 @@ def legendre_rodrigues(n: int) -> Poly:
 def legendre_murphy(n: int) -> Poly:
     """P_n as the terminating Gauss series in z = (1-x)/2.
 
-    P_n(x) = sum_{j=0}^{n} (-n)_j (n+1)_j / ((1)_j j!) * z^j; the rising
-    factorial (-n)_j kills every term past j = n.
+    P_n has the integer z^j coefficient c_j = (-1)^j C(n,j) C(n+j,j), and
+    z^j = (1-x)^j / 2^j, so 2^n P_n has the integer x^m coefficient
+    (-1)^m sum_{j >= m} c_j C(j,m) 2^(n-j). No recurrence is shared with
+    `legendre_bonnet`.
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    half = Fraction(1, 2)
-    z = Poly((half, -half))
-    power = Poly.one()
-    acc = Poly.zero()
-    for j in range(n + 1):
-        if j:
-            power = power * z
-        coeff = rising_factorial(-n, j) * rising_factorial(n + 1, j) / Fraction(factorial(j) ** 2)
-        acc = acc + coeff * power
-    return acc
+    series = [(-1) ** j * comb(n, j) * comb(n + j, j) << (n - j) for j in range(n + 1)]
+    nums = [(-1) ** m * sum(series[j] * comb(j, m) for j in range(m, n + 1)) for m in range(n + 1)]
+    return Poly._of(nums, 2 ** n)
 
 
 def differentiate(p: Poly, k: int = 1) -> Poly:
@@ -460,9 +451,50 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     return LegendreSeries(found)
 
 
+def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:
+    """sum_k coeffs[k] * parts[k], summed in ints over one common denominator.
+
+    With coeffs[k] = p_k/q_k and parts[k] = N_k/D_k, term k is
+    p_k N_k / (q_k D_k); every term is brought to the lcm of the q_k D_k
+    and one Poly is normalised at the end. Zero weights are skipped.
+    """
+    terms = []
+    for c, part in zip(coeffs, parts):
+        if c:
+            terms.append((c.numerator, c.denominator * part._den, part._nums))
+    common = lcm(*(den for _, den, _ in terms))
+    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
+    for p, den, nums in terms:
+        scale = p * (common // den)
+        for m, c in enumerate(nums):
+            acc[m] += scale * c
+    return Poly._of(acc, common)
+
+
 def to_poly(series: LegendreSeries) -> Poly:
-    """Rebuild sum_m c_m * P_m as a dense polynomial."""
-    acc = Poly.zero()
-    for m, c in series.items():
-        acc = acc + c * legendre_bonnet(m)
-    return acc
+    """Rebuild sum_m c_m * P_m as a dense polynomial (one integer combination)."""
+    return _combination(
+        [c for _, c in series.items()], [legendre_bonnet(m) for m in series.degrees()]
+    )
+
+
+def _doha_alphas(n: int, k: int) -> List[int]:
+    """Doha's closed form (see `derivatives`) for 0 <= k <= n: the Legendre
+    coefficients of d^k P_n as ints, entry i at P_{n-k-2i}.
+
+    The odd-factor product for depth i+1 follows from the one for depth i:
+    multiply by 2(n-k-i)+1, then divide exactly by 2(n-i)-1. At k = 0 the
+    entries past i = 0 are (2m+1) C(i-1, i) = 0, computed, not assumed.
+    """
+    count = (n - k) // 2 + 1
+    if k == 0:
+        return [1] + [(2 * (n - 2 * i) + 1) * comb(i - 1, i) for i in range(1, count)]
+    odd_run = 1
+    for t in range(k - 1):
+        odd_run *= 2 * (n - k) + 3 + 2 * t
+    alphas = []
+    for i in range(count):
+        m = n - k - 2 * i
+        alphas.append((2 * m + 1) * comb(k + i - 1, i) * odd_run)
+        odd_run = odd_run * (2 * (n - k - i) + 1) // (2 * (n - i) - 1)
+    return alphas

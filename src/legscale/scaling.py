@@ -5,16 +5,17 @@ Two equivalent coefficient families:
 * derivative form:  P_n(lam*x) = sum_k a_k * d^k/dx^k P_{n-k}(x),
   a_k = lam^(n-2k) (lam^2-1)^k / (2^k k!);
 * legendre form:    P_n(lam*x) = sum_k b_k * P_{n-2k}(x),
-  where each b_k collects the derivative-form contributions through the
-  doubly-indexed weights alpha_nki.
+  b_k = sum_{j=1}^{k} a_j * alpha_nki(n, k, k-j) (b_0 = a_0): the
+  derivative form with each d^j P_{n-j} replaced by its Legendre series.
 
-alpha_nki is the coefficient of P_{n-2k} in d^(k-i) P_{n-k+i}. It comes
-from the closed form of the derivative expansion (see `derivatives`; four
-independent routes agree on it), which for k >= 1 reads
+alpha_nki is the coefficient of P_{n-2k} in d^(k-i) P_{n-k+i}, read from
+Doha's closed form (see `derivatives`; four independent routes agree on
+it), whose integer kernel has one owner, `polynomials._doha_alphas`:
 
     alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t)
 
-in integers, so b_k costs O(k) integer work and no table is cached.
+for k >= 1. All b_k of one n are integer sums over one denominator, so no
+table is cached.
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
@@ -24,10 +25,9 @@ P_n(0) is reachable).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
 from typing import List, Tuple
 
-from .polynomials import Poly, differentiate, legendre_bonnet
+from .polynomials import Poly, _doha_alphas, differentiate, legendre_bonnet
 from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
 
 __all__ = [
@@ -90,15 +90,10 @@ class ScalingExpansion(Record):
     def from_json(cls, data) -> "ScalingExpansion":
         n = int(data["n"])
         raw = {int(k): parse_rational(c) for k, c in data["coeffs"].items()}
+        if any(not 0 <= k <= n // 2 for k in raw):
+            raise ValueError(f"coefficient indices must lie in 0 ... {n // 2}")
         coeffs = tuple(raw.get(k, Fraction(0)) for k in range(n // 2 + 1))
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"index k must lie in 0 ... {n // 2}")
 
 
 def basis_polynomial(form: str, n: int, k: int) -> Poly:
@@ -106,7 +101,10 @@ def basis_polynomial(form: str, n: int, k: int) -> Poly:
 
     d^k P_{n-k} in the derivative form, P_{n-2k} in the legendre form.
     """
-    _check_nk(n, k)
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"index k must lie in 0 ... {n // 2}")
     if form == FORM_DERIVATIVE:
         return differentiate(legendre_bonnet(n - k), k)
     if form == FORM_LEGENDRE:
@@ -121,22 +119,11 @@ def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
     return tuple(basis_polynomial(form, n, k) for k in range(n // 2 + 1))
 
 
-def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
-    """Weight of d^k P_{n-k} in P_n(lam*x): lam^(n-2k) (lam^2-1)^k / (2^k k!).
+def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]]]:
+    """lam as a Fraction p/q, and the integer ratio of every a_k,
+    p^(n-2k) (p^2-q^2)^k over q^n 2^k k!, for k = 0 ... floor(n/2).
 
-    With lam = p/q this is the integer ratio p^(n-2k) (p^2-q^2)^k / (q^n 2^k k!).
-    """
-    _check_nk(n, k)
-    factor = as_rational(lam)
-    p, q = factor.numerator, factor.denominator
-    return Fraction(p ** (n - 2 * k) * (p * p - q * q) ** k, q ** n * 2 ** k * factorial(k))
-
-
-def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
-    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2).
-
-    The integer ratio of `a_coefficient`, with (p^2-q^2)^k and q^n 2^k k!
-    carried from one k to the next.
+    (p^2-q^2)^k and q^n 2^k k! are carried from one k to the next.
     """
     factor = as_rational(lam)
     if n < 0:
@@ -145,101 +132,79 @@ def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
     shift = p * p - q * q
     shift_power = 1  # (p^2-q^2)^k
     den = q ** n  # q^n 2^k k!
-    coeffs = []
+    ratios = []
     for k in range(n // 2 + 1):
-        coeffs.append(Fraction(p ** (n - 2 * k) * shift_power, den))
+        ratios.append((p ** (n - 2 * k) * shift_power, den))
         shift_power *= shift
         den *= 2 * (k + 1)
-    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(coeffs))
+    return factor, ratios
 
 
-def _alpha_row(n: int, k: int) -> List[int]:
-    """alpha_nki(n, k, i) for i = 0 ... k, in integer arithmetic.
+def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
+    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
+    factor, ratios = _a_ratios(lam, n)
+    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(Fraction(*r) for r in ratios))
 
-    The odd-factor product gains one factor, 2(n-2k+i)+3, per step down
-    in i. The i = k entry goes through the same formula (C(k-1, k) = 0)
-    rather than being assumed zero.
-    """
-    if k == 0:
-        return [1]
-    row = [0] * (k + 1)
-    odd_run = 1
-    for i in range(k, -1, -1):
-        if i <= k - 2:
-            odd_run *= 2 * (n - 2 * k + i) + 3
-        row[i] = (2 * (n - 2 * k) + 1) * comb(k - 1, i) * odd_run
-    return row
+
+def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
+    """Weight of d^k P_{n-k} in P_n(lam*x): lam^(n-2k) (lam^2-1)^k / (2^k k!)."""
+    return expand_derivative_form(lam, n).coefficient(k)
 
 
 def alpha_nki(n: int, k: int, i: int) -> Fraction:
     """Depth-i weight inside the k-th legendre-form coefficient.
 
-    Semantically this is the coefficient of P_{n-2k} in the Legendre
-    expansion of d^(k-i) P_{n-k+i}; in particular it is 1 at i = k = 0 and
-    0 at i = k >= 1 (the zeroth derivative expands trivially). For k >= 1
-    the closed form gives
-
-        alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t).
+    The coefficient of P_{n-2k} in the Legendre expansion of
+    d^(k-i) P_{n-k+i}: entry i of the closed-form row of (n-k+i, k-i) in
+    `polynomials._doha_alphas`, the one owner of Doha's closed form. It is
+    1 at i = k = 0; at i = k >= 1 (the zeroth derivative) the kernel
+    computes (2(n-2k)+1) * C(k-1, k) = 0 rather than assuming it.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if not 0 <= i <= k <= n // 2:
         raise ValueError("indices must satisfy 0 <= i <= k <= floor(n/2)")
-    return Fraction(_alpha_row(n, k)[i])
+    return Fraction(_doha_alphas(n - k + i, k - i)[i])
 
 
-def _b_sum(factor: Fraction, n: int, k: int, top_i: int) -> Fraction:
-    """sum_{i=0}^{top_i} a_coefficient(lam, n, k-i) * alpha_nki(n, k, i).
+def _legendre_form(lam: RationalLike, n: int, untruncated: bool) -> ScalingExpansion:
+    """b_k = sum_j a_j * alpha_nki(n, k, k-j) in ints over q^n 2^h h!, h = floor(n/2).
 
-    With lam = p/q every term shares the denominator q^n 2^k k!, so the sum
-    runs in integers and one Fraction is built at the end.
+    Row j, the closed form of d^j P_{n-j}, adds its entry i to b_{j+i}. The
+    truncated sum takes row 0 at b_0 only; the untruncated sum takes all of
+    it, whose entries past i = 0 are computed zeros.
     """
-    p, q = factor.numerator, factor.denominator
-    shift = p * p - q * q
-    row = _alpha_row(n, k)
-    total = 0
-    scale = 1  # 2^i k! / (k-i)!
-    for i in range(top_i + 1):
-        total += p ** (n - 2 * k + 2 * i) * shift ** (k - i) * scale * row[i]
-        scale *= 2 * (k - i)
-    return Fraction(total, q ** n * 2 ** k * factorial(k))
-
-
-def b_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
-    """Weight of P_{n-2k} in P_n(lam*x), summing depths i = 0 ... max(k-1, 0)."""
-    _check_nk(n, k)
-    return _b_sum(as_rational(lam), n, k, max(k - 1, 0))
-
-
-def b_coefficient_untruncated(lam: RationalLike, n: int, k: int) -> Fraction:
-    """Variant of `b_coefficient` summing depths i = 0 ... k.
-
-    The extra i = k term carries the weight alpha_nki(n, k, k), which is 0
-    for every k >= 1, so the two must agree; the test suite proves this over
-    the full sweep instead of assuming it.
-    """
-    _check_nk(n, k)
-    return _b_sum(as_rational(lam), n, k, k)
+    factor, ratios = _a_ratios(lam, n)
+    common = ratios[-1][1]
+    sums = [0] * len(ratios)
+    for j, (num, den) in enumerate(ratios):
+        row = _doha_alphas(n - j, j)
+        weight = num * (common // den)
+        for i, alpha in enumerate(row if j or untruncated else row[:1]):
+            sums[j + i] += weight * alpha
+    return ScalingExpansion(factor, n, FORM_LEGENDRE, tuple(Fraction(b, common) for b in sums))
 
 
 def expand_legendre_form(lam: RationalLike, n: int) -> ScalingExpansion:
     """All legendre-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
-    factor = as_rational(lam)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return ScalingExpansion(
-        factor, n, FORM_LEGENDRE, tuple(b_coefficient(factor, n, k) for k in range(n // 2 + 1))
-    )
+    return _legendre_form(lam, n, untruncated=False)
 
 
 def expand_legendre_form_untruncated(lam: RationalLike, n: int) -> ScalingExpansion:
-    """Legendre-form weights using the untruncated depth sum (i up to k)."""
-    factor = as_rational(lam)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return ScalingExpansion(
-        factor,
-        n,
-        FORM_LEGENDRE,
-        tuple(b_coefficient_untruncated(factor, n, k) for k in range(n // 2 + 1)),
-    )
+    """Legendre-form weights using the untruncated depth sum (i up to k).
+
+    The extra i = k term carries the weight alpha_nki(n, k, k), which is 0
+    for every k >= 1, so the two expansions must agree; the test suite
+    proves this over the full sweep instead of assuming it.
+    """
+    return _legendre_form(lam, n, untruncated=True)
+
+
+def b_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
+    """Weight of P_{n-2k} in P_n(lam*x), summing depths i = 0 ... max(k-1, 0)."""
+    return expand_legendre_form(lam, n).coefficient(k)
+
+
+def b_coefficient_untruncated(lam: RationalLike, n: int, k: int) -> Fraction:
+    """Variant of `b_coefficient` summing depths i = 0 ... k."""
+    return expand_legendre_form_untruncated(lam, n).coefficient(k)

@@ -21,7 +21,7 @@ output coefficient only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import (
@@ -32,6 +32,7 @@ from .derivatives import (
 )
 from .polynomials import (
     Poly,
+    _combination,
     differentiate,
     legendre_bonnet,
     project_to_legendre,
@@ -182,27 +183,6 @@ def _report(
         details=details if details is not None else {},
         cases=count,
     )
-
-
-def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:
-    """sum_k coeffs[k] * parts[k], summed in ints over one common denominator.
-
-    With coeffs[k] = p_k/q_k and parts[k] = N_k/D_k, term k is
-    p_k N_k / (q_k D_k); every term is brought to the lcm of the q_k D_k
-    and one Poly is normalised at the end. Zero weights are skipped.
-    """
-    terms = []
-    for c, part in zip(coeffs, parts):
-        if c:
-            nums, den = part.integer_form
-            terms.append((c.numerator, c.denominator * den, nums))
-    common = lcm(*(den for _, den, _ in terms))
-    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
-    for p, den, nums in terms:
-        scale = p * (common // den)
-        for m, c in enumerate(nums):
-            acc[m] += scale * c
-    return Poly.from_integer_form(acc, common)
 
 
 def verify_scaling_identity(

@@ -376,6 +376,35 @@ class TestEval:
         assert "more than 4000 digits" in err
 
 
+class TestOversizedExactValues:
+    """An exact value whose numerator or denominator is too long to print
+    exits 2 under the same 4000-digit bound as `eval`, instead of a
+    traceback from str() past Python's 4300-digit limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "a", "--n-max", "2", "--lambda", "7" * 3000),
+            ("table", "a", "--n-max", "5", "--lambda", "7" * 1000),
+            ("table", "b", "--n-max", "5", "--lambda", "7" * 1000, "--format", "json"),
+            ("table", "a", "--n-max", "1", "--lambda", "1/" + "7" * 4001),
+            ("expand", "scaled", "--form", "derivative", "--n", "5000", "--lambda", "7"),
+            ("expand", "deriv", "--n", "3000", "--k", "1500", "--format", "csv"),
+        ],
+        ids=["table-a-3000-digits", "table-a-1000-digits", "table-b-json", "long-denominator",
+             "expand-scaled-n5000", "expand-deriv-n3000"],
+    )
+    def test_value_too_long_to_print_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "more than 4000 digits" in err
+
+    def test_values_at_the_bound_print(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "a", "--n-max", "1", "--lambda", "7" * 4000)
+        assert (code, out) == (0, "n,k,value\n0,0,1\n1,0," + "7" * 4000 + "\n")
+        assert run_cli(capsys, "table", "a", "--n-max", "1", "--lambda", "7" * 4001)[0] == 2
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ("verify", "all", "--n-max", "5", "--seed", "11")

@@ -1,11 +1,13 @@
-"""The integer verification routes against the Fraction code they replaced.
+"""The integer routes against the code they replaced.
 
 The closed recurrence, the Murphy series of the triangular route, the
 z-substitution behind the surplus rows, the derivation replay, the eq9/eq13
-reconstruction and the derivative-form weights all run in Python integers
-over one common denominator. Each is checked here
+reconstruction, `to_poly`, `legendre_murphy` and the derivative-form weights
+all run in Python integers over one common denominator. Each is checked here
 by exact equality against a reference model written with Fractions and
-`Poly` products, as the routes were before.
+`Poly` products, as the routes were before. The Legendre-form weights b_k,
+composed from the a_j and Doha's closed-form rows, are checked against the
+diagonal alpha sums `scaling` used before.
 """
 
 from fractions import Fraction
@@ -19,19 +21,27 @@ from legscale import (
     DEFAULT_LAMBDAS,
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
+    LegendreSeries,
     Poly,
     a_coefficient,
+    alpha_nki,
+    b_coefficient,
+    b_coefficient_untruncated,
     binomial,
+    deriv_expand_closed,
     deriv_expand_recurrence,
     differentiate,
     falling_factorial,
     expand_derivative_form,
     expand_legendre_form,
+    expand_legendre_form_untruncated,
     expansion_basis,
     legendre_bonnet,
+    legendre_murphy,
     murphy_deriv_series,
     replay_rodrigues_derivation,
     rising_factorial,
+    to_poly,
 )
 from legscale.verify import _combination, _to_z_coeffs
 
@@ -102,6 +112,55 @@ def ref_recurrence(n: int, k: int):
 
 def ref_a(lam: Fraction, n: int, k: int) -> Fraction:
     return lam ** (n - 2 * k) * (lam * lam - 1) ** k / (Fraction(2) ** k * factorial(k))
+
+
+def ref_alpha_row(n: int, k: int):
+    """alpha_nki(n, k, i) for i = 0 ... k along one diagonal of the closed
+    form, the odd-factor product gaining 2(n-2k+i)+3 per step down in i."""
+    if k == 0:
+        return [1]
+    row = [0] * (k + 1)
+    odd_run = 1
+    for i in range(k, -1, -1):
+        if i <= k - 2:
+            odd_run *= 2 * (n - 2 * k + i) + 3
+        row[i] = (2 * (n - 2 * k) + 1) * comb(k - 1, i) * odd_run
+    return row
+
+
+def ref_b(lam: Fraction, n: int, k: int, top_i: int) -> Fraction:
+    """sum_{i=0}^{top_i} a_{k-i} * alpha_nki(n, k, i) over q^n 2^k k!, one k at a time."""
+    p, q = lam.numerator, lam.denominator
+    shift = p * p - q * q
+    row = ref_alpha_row(n, k)
+    total = 0
+    scale = 1  # 2^i k! / (k-i)!
+    for i in range(top_i + 1):
+        total += p ** (n - 2 * k + 2 * i) * shift ** (k - i) * scale * row[i]
+        scale *= 2 * (k - i)
+    return Fraction(total, q ** n * 2 ** k * factorial(k))
+
+
+def ref_legendre_murphy(n: int) -> Poly:
+    """The Gauss series in z = (1-x)/2 with rising factorials and Poly products."""
+    half = Fraction(1, 2)
+    z = Poly((half, -half))
+    power = Poly.one()
+    acc = Poly.zero()
+    for j in range(n + 1):
+        if j:
+            power = power * z
+        coeff = rising_factorial(-n, j) * rising_factorial(n + 1, j) / Fraction(factorial(j) ** 2)
+        acc = acc + coeff * power
+    return acc
+
+
+def ref_to_poly(series: LegendreSeries) -> Poly:
+    """sum_m c_m * P_m as one Poly product and one Poly sum per term."""
+    acc = Poly.zero()
+    for m, c in series.items():
+        acc = acc + c * legendre_bonnet(m)
+    return acc
 
 
 # --- agreement ---
@@ -179,3 +238,46 @@ def test_reconstruction_of_drawn_weights(n, form, data):
     coeffs = data.draw(st.lists(weight, min_size=n // 2 + 1, max_size=n // 2 + 1))
     parts = expansion_basis(form, n)
     assert _combination(coeffs, parts) == ref_combination(coeffs, parts)
+
+
+@pytest.mark.parametrize(
+    "lam", DEFAULT_LAMBDAS + tuple(Fraction(s) for s in ("17/7", "-16/7", "-9/4")), ids=str
+)
+def test_legendre_form_matches_diagonal_alpha_sums(lam):
+    for n in range(60):
+        ks = range(n // 2 + 1)
+        truncated = tuple(ref_b(lam, n, k, max(k - 1, 0)) for k in ks)
+        assert expand_legendre_form(lam, n).coeffs == truncated, n
+        assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(ref_b(lam, n, k, k) for k in ks), n
+        if n < 16:
+            assert tuple(b_coefficient(lam, n, k) for k in ks) == truncated, n
+            assert tuple(b_coefficient_untruncated(lam, n, k) for k in ks) == truncated, n
+
+
+def test_alpha_nki_matches_diagonal_rows():
+    for n in range(60):
+        for k in range(n // 2 + 1):
+            assert [alpha_nki(n, k, i) for i in range(k + 1)] == ref_alpha_row(n, k), (n, k)
+
+
+def test_murphy_polynomial_matches_rising_factorials():
+    for n in range(41):
+        assert legendre_murphy(n) == ref_legendre_murphy(n), n
+
+
+def test_to_poly_matches_poly_sums():
+    for n in range(31):
+        for k in range(n + 2):
+            series = deriv_expand_closed(n, k).to_series()
+            assert to_poly(series) == ref_to_poly(series), (n, k)
+
+
+@given(
+    terms=st.dictionaries(
+        st.integers(0, 20), st.fractions(min_value=-9, max_value=9, max_denominator=15), max_size=8
+    )
+)
+@settings(deadline=None, max_examples=60)
+def test_to_poly_of_drawn_series(terms):
+    series = LegendreSeries(terms)
+    assert to_poly(series) == ref_to_poly(series)

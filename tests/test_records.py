@@ -117,6 +117,39 @@ def test_from_json_input_is_validated():
         ScalingExpansion.from_json({"lambda": "2", "n": 2, "form": "monomial", "coeffs": {"0": "1"}})
 
 
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [({"0": "1", "5": "3"}, 2), ({"0": "1", "-1": "3"}, 2), ({"1": "0"}, 0), ({"2": "1"}, 3)],
+    ids=["above", "negative", "zero-past-n0", "past-floor-n-half"],
+)
+def test_scaling_from_json_refuses_an_index_outside_the_expansion(coeffs, n):
+    with pytest.raises(ValueError):
+        ScalingExpansion.from_json({"lambda": "2", "n": n, "form": FORM_LEGENDRE, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize(
+    "n, k, alphas",
+    [
+        (3, 1, {"2": "5", "1": "7", "0": "1"}),  # degree 1 has the wrong parity
+        (3, 1, {"4": "1"}),  # above n-k
+        (3, 1, {"-2": "1"}),
+        (2, 3, {"0": "0"}),  # k > n: the derivative has no alpha at all
+        (2, 3, {"-1": "1"}),
+    ],
+    ids=["parity", "above", "negative", "k-above-n", "k-above-n-negative"],
+)
+def test_deriv_from_json_refuses_a_degree_outside_the_expansion(n, k, alphas):
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": n, "k": k, "alphas": alphas})
+
+
+def test_from_json_fills_absent_entries_with_zero():
+    sparse = ScalingExpansion.from_json({"lambda": "2", "n": 4, "form": FORM_LEGENDRE, "coeffs": {"2": "3"}})
+    assert sparse.coeffs == (0, 0, 3)
+    assert DerivExpansion.from_json({"n": 4, "k": 1, "alphas": {"1": "3"}}).alphas == (0, 3)
+    assert DerivExpansion.from_json({"n": 2, "k": 3, "alphas": {}}) == DerivExpansion(2, 3, ())
+
+
 def test_report_validates_and_keeps_defaults_apart():
     with pytest.raises(ValueError):
         VerificationReport("eq9", (0, 1), None, None, False, None)
