@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import legendre_bonnet
+from .polynomials import _doha_alphas, legendre_bonnet
 from .rationals import format_rational, parse_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
     ScalingExpansion,
+    _a_rows,
     basis_polynomial,
     expand_derivative_form,
     expand_legendre_form,
@@ -49,6 +50,7 @@ MAX_POINT_EXPONENT = 1000
 # exact numerator or denominator): str() of a longer int raises past 4300.
 MAX_VALUE_DIGITS = 4000
 _VALUE_LIMIT = 10 ** MAX_VALUE_DIGITS
+_TOO_LONG = f"a value to print has more than {MAX_VALUE_DIGITS} digits"
 
 
 class UsageError(Exception):
@@ -106,7 +108,17 @@ def _parse_point(text: str) -> Fraction:
 def _check_printable(values: Iterable[Union[Fraction, int]]) -> None:
     """Refuse (exit 2) to print a value whose numerator or denominator is too long."""
     if any(max(abs(v.numerator), v.denominator) >= _VALUE_LIMIT for v in values):
-        raise UsageError(f"a value to print has more than {MAX_VALUE_DIGITS} digits")
+        raise UsageError(_TOO_LONG)
+
+
+def _check_lambda_power(lam: Fraction, n: int) -> None:
+    """Refuse up front what `_check_printable` would refuse later: a_0 = b_0 of
+    degree n is lam^n = p^n/q^n, already reduced. m = max(|p|, q) of b bits has
+    2^(n(b-1)) <= m^n < 2^(nb), so a huge n is decided without building m^n."""
+    base, bits = max(abs(lam.numerator), lam.denominator), _VALUE_LIMIT.bit_length()
+    low, high = n * (base.bit_length() - 1), n * base.bit_length()
+    if low >= bits or (high >= bits and base ** n >= _VALUE_LIMIT):
+        raise UsageError(_TOO_LONG)
 
 
 def _check_digits(digits: int) -> None:
@@ -122,15 +134,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             handle.write(text)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _plain_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV of cells csv.QUOTE_MINIMAL leaves bare: ints, "p/q" and decimals."""
+    return "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows), ""])
 
 
 def _json_text(payload: object) -> str:
@@ -155,37 +161,39 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"--lambda is required for kind {args.kind!r}")
     else:
         lam = _parse_lambda(args.lam)
+        _check_lambda_power(lam, args.n_max)
 
-    def row(value: Fraction, **index: int) -> Dict[str, object]:
-        _check_printable((value,))
-        cells: Dict[str, object] = {**index, "value": format_rational(value)}
-        if args.digits is not None:
-            cells["float"] = format_decimal(value, args.digits)
-        return cells
-
+    # (index, numerator, denominator) of every value, reduced, in row order
+    degrees = range(args.n_max + 1)
     if args.kind == "alpha":
-        from .derivatives import deriv_expand_closed
+        header = ["n", "k", "i"]
+        values = [((n, k, i), a, 1) for n in degrees for k in range(n + 1)
+                  for i, a in enumerate(_doha_alphas(n, k))]
+    else:
+        header = ["n", "k"]
+        rows = _a_rows(lam, args.n_max) if args.kind == "a" else (
+            [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
+        values = [((n, k), num, den) for n, row in enumerate(rows) for k, (num, den) in enumerate(row)]
+    _check_printable(max(abs(num), den) for _, num, den in values)
 
-    rows: List[Dict[str, object]] = []
-    for n in range(args.n_max + 1):
-        if args.kind == "alpha":
-            for k in range(n + 1):
-                alphas = deriv_expand_closed(n, k).alphas
-                rows.extend(row(a, n=n, k=k, i=i) for i, a in enumerate(alphas))
-        else:
-            form = FORM_DERIVATIVE if args.kind == "a" else FORM_LEGENDRE
-            coeffs = _scaling_expansion(form, lam, n).coeffs
-            rows.extend(row(c, n=n, k=k) for k, c in enumerate(coeffs))
+    header += ["value"] if args.digits is None else ["value", "float"]
 
-    if args.format == "csv":  # n = 0 always yields a row, so rows[0] names the columns
-        text = _csv_text(list(rows[0]), [list(r.values()) for r in rows])
+    def records() -> Iterator[List[object]]:  # lazily: the rendered text is the table's bulk
+        for index, num, den in values:
+            record: List[object] = [*index, f"{num}/{den}" if den != 1 else str(num)]
+            if args.digits is not None:
+                record.append(format_decimal(Fraction(num, den), args.digits))
+            yield record
+
+    if args.format == "csv":
+        text = _plain_csv(header, records())
     else:
         text = _json_text(
             {
                 "kind": args.kind,
                 "lambda": format_rational(lam) if lam is not None else None,
                 "n_max": args.n_max,
-                "rows": rows,
+                "rows": [dict(zip(header, record)) for record in records()],
             }
         )
     _emit(args, text)
@@ -199,13 +207,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         if args.k is not None:
             raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
+        _check_lambda_power(lam, args.n)
         expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
         _check_printable(expansion.coeffs)
         if args.format == "csv":
-            text = _csv_text(
-                ["k", "value"],
-                [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)],
-            )
+            text = _plain_csv(["k", "value"], [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)])
         else:
             text = _json_text(expansion.to_json())
     else:
@@ -219,13 +225,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         derivative = deriv_expand_closed(args.n, args.k)
         _check_printable(derivative.alphas)
         if args.format == "csv":
-            text = _csv_text(
-                ["degree", "value"],
-                [
-                    [derivative.degree_of(i), format_rational(a)]
-                    for i, a in enumerate(derivative.alphas)
-                ],
-            )
+            rows = [[derivative.degree_of(i), format_rational(a)] for i, a in enumerate(derivative.alphas)]
+            text = _plain_csv(["degree", "value"], rows)
         else:
             text = _json_text(derivative.to_json())
     _emit(args, text)
@@ -272,25 +273,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = _verify_reports(args)
     all_passed = all(r.passed for r in reports)
 
-    if args.format == "csv":
+    if args.format == "csv":  # the counterexample's JSON needs csv's quoting
+        import csv
+        import io
         import json
 
-        header = ["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"]
-        rows = []
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"])
         for r in reports:
-            rows.append(
+            writer.writerow(
                 [
                     r.subject,
                     r.status,
-                    r.n_range[0],
-                    r.n_range[1],
-                    r.k_range[0] if r.k_range else "",
-                    r.k_range[1] if r.k_range else "",
+                    *r.n_range,
+                    *(r.k_range or ("", "")),
                     " ".join(format_rational(v) for v in r.lambdas) if r.lambdas else "",
                     json.dumps(r.counterexample.to_json()) if r.counterexample else "",
                 ]
             )
-        text = _csv_text(header, rows)
+        text = buffer.getvalue()
     else:
         text = _json_text(
             {
@@ -386,15 +388,10 @@ _SIGNED_VALUE_FLAGS = ("--lambda", "--x")
 
 def _fuse_signed_values(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _SIGNED_VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _SIGNED_VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 

@@ -25,7 +25,8 @@ P_n(0) is reachable).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from math import gcd
+from typing import Iterator, List, Tuple
 
 from .polynomials import Poly, _doha_alphas, differentiate, legendre_bonnet
 from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
@@ -138,6 +139,28 @@ def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]
         shift_power *= shift
         den *= 2 * (k + 1)
     return factor, ratios
+
+
+def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
+    """Rows n = 0 ... n_max of reduced (num, den) pairs a_k, by a_k(n+1) = lam a_k(n)
+    plus, at even n, k = n/2: (p^2-q^2)^k / (q^n 2^k k!). The product cancels only
+    gcd(p, den), never a gcd of two large ints: num divides p^(n-2k) (p^2-q^2)^k, so
+    it is prime to q. `expand_derivative_form` is the closed form, the second route."""
+    p, q = lam.numerator, lam.denominator
+    shift = p * p - q * q
+    new_num, new_den = 1, 1  # (p^2-q^2)^k and q^(2k) 2^k k!, k = n/2
+    row: List[Tuple[int, int]] = []
+    for n in range(n_max + 1):
+        scaled = []
+        for num, den in row:
+            g = gcd(p, den)
+            scaled.append((p // g * num, q * (den // g)))
+        row = scaled
+        if n % 2 == 0:
+            g = gcd(new_num, new_den)
+            row.append((new_num // g, new_den // g))
+            new_num, new_den = new_num * shift, new_den * q * q * (n + 2)  # to k = n/2 + 1
+        yield row
 
 
 def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:

@@ -405,6 +405,53 @@ class TestOversizedExactValues:
         assert run_cli(capsys, "table", "a", "--n-max", "1", "--lambda", "7" * 4001)[0] == 2
 
 
+class TestEarlyPowerRefusal:
+    """lam^n = p^n/q^n is printed (a_0 = b_0 of degree n), so when it is too
+    long `table a|b` and `expand scaled` exit 2 before expanding anything."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "a", "--n-max", "1000000000", "--lambda", "7"),
+            ("table", "b", "--n-max", "1000000000", "--lambda", "-1/7"),
+            ("expand", "scaled", "--n", "5000", "--lambda", "7"),
+            ("expand", "scaled", "--form", "derivative", "--n", "5000", "--lambda", "7", "--format", "csv"),
+        ],
+        ids=["table-a-n1e9", "table-b-n1e9", "expand-legendre-n5000", "expand-derivative-n5000"],
+    )
+    def test_refused_within_seconds(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-m", "legscale", *argv],
+            capture_output=True, text=True, env=env, check=False, timeout=5,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "more than 4000 digits" in result.stderr
+
+    @staticmethod
+    def refuses(lam, n):
+        try:
+            legscale.cli._check_lambda_power(lam, n)
+        except legscale.cli.UsageError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 12345, 10 ** 3999 + 1])
+    def test_verdict_is_the_exact_power_bound(self, base):
+        # Around the degree where base^n first reaches 10^4000, where bit
+        # lengths alone cannot decide.
+        first = next(n for n in range(14000) if base ** n >= 10 ** 4000)
+        for n in range(max(first - 3, 0), first + 4):
+            for lam in (Fraction(base), Fraction(-base), Fraction(1, base), Fraction(base - 1, base)):
+                assert self.refuses(lam, n) == (base ** n >= 10 ** 4000), (lam, n)
+
+    @pytest.mark.parametrize("lam", ["0", "1", "-1", "1/1"])
+    def test_unit_lambdas_pass_at_any_degree(self, lam):
+        assert not self.refuses(Fraction(lam), 10 ** 9)
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ("verify", "all", "--n-max", "5", "--seed", "11")
@@ -448,6 +495,16 @@ GOLDEN_STDOUT = {
         "17573dc694a8a82b5e243f3c0cfc862e6fe007309deb91fad06959c40a7246e3",
     ("eval", "--method", "direct", "--n", "300", "--lambda", "7/3", "--x", "3/8"):
         "ec23f9107ab4e1f60fcc98f5758340d1ad37ac15d339d52a0b42209139068712",
+    ("table", "a", "--n-max", "200", "--lambda", "-15/7"):
+        "297f173e09bc099b453af93172f6416345b851a200b015c5148bbc54d1db91bd",
+    ("table", "a", "--n-max", "60", "--lambda", "0"):
+        "38fa5f1ffc8e6e7860d8bb9833ecbe2d5c97c96be15288dfac533b46c8ae0931",
+    ("table", "a", "--n-max", "40", "--lambda", "12/8", "--format", "json"):
+        "0d1f6045884820960ef33c3f250ed709461c2e728105d336e9035d83073ec667",
+    ("table", "alpha", "--n-max", "20", "--format", "json"):
+        "70fb92abfd2eac88de8ea687d3f40a653837a7ebead520a5acb6db0709a30f8a",
+    ("table", "b", "--n-max", "30", "--lambda", "-1", "--digits", "8"):
+        "ba66818d2c9bd9baf5371fd3c555be6692c7ecd1362a412e5374a9c8af16c782",
 }
 
 

@@ -7,7 +7,9 @@ all run in Python integers over one common denominator. Each is checked here
 by exact equality against a reference model written with Fractions and
 `Poly` products, as the routes were before. The Legendre-form weights b_k,
 composed from the a_j and Doha's closed-form rows, are checked against the
-diagonal alpha sums `scaling` used before.
+diagonal alpha sums `scaling` used before. The rows of `table a`, built by
+a_k(n+1) = lam * a_k(n), and of `table alpha`, read from Doha's ints, are
+checked against `expand_derivative_form` and `deriv_expand_closed`.
 """
 
 from fractions import Fraction
@@ -43,6 +45,9 @@ from legscale import (
     rising_factorial,
     to_poly,
 )
+from legscale.cli import main
+from legscale.rationals import format_rational
+from legscale.scaling import _a_rows
 from legscale.verify import _combination, _to_z_coeffs
 
 # --- reference models ---
@@ -281,3 +286,39 @@ def test_to_poly_matches_poly_sums():
 def test_to_poly_of_drawn_series(terms):
     series = LegendreSeries(terms)
     assert to_poly(series) == ref_to_poly(series)
+
+
+# 40-digit numerator and denominator: every product by lam cancels a real gcd.
+LONG_LAMBDA = Fraction(-(2 ** 39) * 3 ** 25 * 5 ** 15 * 7 * 13 ** 4, 11 ** 38)
+TABLE_LAMBDAS = DEFAULT_LAMBDAS + (Fraction(17, 7), Fraction(-20, 7), Fraction(12, 8), LONG_LAMBDA)
+
+
+@pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
+def test_a_rows_match_closed_form(lam):
+    # Pairs, not Fractions: each must already be in lowest terms.
+    rows = list(_a_rows(lam, 60))
+    assert len(rows) == 61
+    for n, row in enumerate(rows):
+        assert row == [(c.numerator, c.denominator) for c in expand_derivative_form(lam, n).coeffs], n
+
+
+@pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
+def test_table_a_prints_the_closed_form(capsys, lam):
+    assert main(["table", "a", "--n-max", "60", "--lambda", format_rational(lam)]) == 0
+    expected = ["n,k,value"] + [
+        f"{n},{k},{format_rational(c)}"
+        for n in range(61)
+        for k, c in enumerate(expand_derivative_form(lam, n).coeffs)
+    ]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_table_alpha_prints_the_closed_form(capsys):
+    assert main(["table", "alpha", "--n-max", "60"]) == 0
+    expected = ["n,k,i,value"] + [
+        f"{n},{k},{i},{format_rational(a)}"
+        for n in range(61)
+        for k in range(n + 1)
+        for i, a in enumerate(deriv_expand_closed(n, k).alphas)
+    ]
+    assert capsys.readouterr().out.splitlines() == expected

@@ -45,9 +45,10 @@ def baseline():
             "main(['eval', '--method', 'direct', '--n', '5', '--lambda', '7/3', '--x', '3/8'])",
             set(),
         ),
-        ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", {"csv"}),
+        ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", set()),
+        ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4'])", set()),
     ],
-    ids=["cli", "eval direct", "table a"],
+    ids=["cli", "eval direct", "table a", "table alpha"],
 )
 def test_light_paths_load_no_heavy_module(baseline, code, allowed):
     added = loaded_modules(code) - baseline
