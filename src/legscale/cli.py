@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import _doha_alphas, legendre_bonnet
 from .rationals import format_rational, parse_rational
@@ -163,37 +163,37 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n_max)
 
-    # (index, numerator, denominator) of every value, reduced, in row order
+    # each row as (index prefix, reduced (numerator, denominator) pairs)
     degrees = range(args.n_max + 1)
     if args.kind == "alpha":
         header = ["n", "k", "i"]
-        values = [((n, k, i), a, 1) for n in degrees for k in range(n + 1)
-                  for i, a in enumerate(_doha_alphas(n, k))]
+        rows = (((n, k), [(a, 1) for a in _doha_alphas(n, k)]) for n in degrees for k in range(n + 1))
     else:
         header = ["n", "k"]
-        rows = _a_rows(lam, args.n_max) if args.kind == "a" else (
+        pairs = _a_rows(lam, args.n_max) if args.kind == "a" else (
             [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
-        values = [((n, k), num, den) for n, row in enumerate(rows) for k, (num, den) in enumerate(row)]
-    _check_printable(max(abs(num), den) for _, num, den in values)
-
+        rows = (((n,), row) for n, row in enumerate(pairs))
     header += ["value"] if args.digits is None else ["value", "float"]
 
-    def records() -> Iterator[List[object]]:  # lazily: the rendered text is the table's bulk
-        for index, num, den in values:
-            record: List[object] = [*index, f"{num}/{den}" if den != 1 else str(num)]
-            if args.digits is not None:
-                record.append(format_decimal(Fraction(num, den), args.digits))
-            yield record
+    records: List[Tuple[object, ...]] = []
+    for prefix, row in rows:  # guarded as made: the first row too long to print exits 2
+        _check_printable(max(abs(num), den) for num, den in row)
+        for j, (num, den) in enumerate(row):
+            value = f"{num}/{den}" if den != 1 else str(num)
+            if args.digits is None:
+                records.append((*prefix, j, value))
+            else:
+                records.append((*prefix, j, value, format_decimal(Fraction(num, den), args.digits)))
 
     if args.format == "csv":
-        text = _plain_csv(header, records())
+        text = _plain_csv(header, records)
     else:
         text = _json_text(
             {
                 "kind": args.kind,
                 "lambda": format_rational(lam) if lam is not None else None,
                 "n_max": args.n_max,
-                "rows": [dict(zip(header, record)) for record in records()],
+                "rows": [dict(zip(header, record)) for record in records],
             }
         )
     _emit(args, text)
@@ -211,7 +211,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
         _check_printable(expansion.coeffs)
         if args.format == "csv":
-            text = _plain_csv(["k", "value"], [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)])
+            text = _plain_csv(
+                ["k", "value"],
+                [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)],
+            )
         else:
             text = _json_text(expansion.to_json())
     else:
@@ -225,8 +228,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         derivative = deriv_expand_closed(args.n, args.k)
         _check_printable(derivative.alphas)
         if args.format == "csv":
-            rows = [[derivative.degree_of(i), format_rational(a)] for i, a in enumerate(derivative.alphas)]
-            text = _plain_csv(["degree", "value"], rows)
+            text = _plain_csv(
+                ["degree", "value"],
+                [
+                    [derivative.degree_of(i), format_rational(a)]
+                    for i, a in enumerate(derivative.alphas)
+                ],
+            )
         else:
             text = _json_text(derivative.to_json())
     _emit(args, text)
@@ -286,8 +294,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 [
                     r.subject,
                     r.status,
-                    *r.n_range,
-                    *(r.k_range or ("", "")),
+                    r.n_range[0],
+                    r.n_range[1],
+                    r.k_range[0] if r.k_range else "",
+                    r.k_range[1] if r.k_range else "",
                     " ".join(format_rational(v) for v in r.lambdas) if r.lambdas else "",
                     json.dumps(r.counterexample.to_json()) if r.counterexample else "",
                 ]
@@ -388,10 +398,15 @@ _SIGNED_VALUE_FLAGS = ("--lambda", "--x")
 
 def _fuse_signed_values(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in _SIGNED_VALUE_FLAGS else None
-        out.append(token if value is None else f"{token}={value}")
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in _SIGNED_VALUE_FLAGS and i + 1 < len(argv):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
     return out
 
 

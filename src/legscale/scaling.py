@@ -143,23 +143,20 @@ def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]
 
 def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
     """Rows n = 0 ... n_max of reduced (num, den) pairs a_k, by a_k(n+1) = lam a_k(n)
-    plus, at even n, k = n/2: (p^2-q^2)^k / (q^n 2^k k!). The product cancels only
-    gcd(p, den), never a gcd of two large ints: num divides p^(n-2k) (p^2-q^2)^k, so
-    it is prime to q. `expand_derivative_form` is the closed form, the second route."""
+    plus, at even n = 2k, the new entry a_k(2k) = a_{k-1}(2k-2) (lam^2-1) / (2k).
+    lam times a pair cancels only gcd(p, den), never a gcd of two large ints: num
+    divides p^(n-2k) (p^2-q^2)^k, so it is prime to q. `expand_derivative_form`
+    is the closed form, the second route."""
     p, q = lam.numerator, lam.denominator
-    shift = p * p - q * q
-    new_num, new_den = 1, 1  # (p^2-q^2)^k and q^(2k) 2^k k!, k = n/2
+    new = (1, 1)  # a_k(2k), k = 0
     row: List[Tuple[int, int]] = []
     for n in range(n_max + 1):
-        scaled = []
-        for num, den in row:
-            g = gcd(p, den)
-            scaled.append((p // g * num, q * (den // g)))
-        row = scaled
+        row = [(p // g * num, q * (den // g)) for num, den in row for g in (gcd(p, den),)]
         if n % 2 == 0:
-            g = gcd(new_num, new_den)
-            row.append((new_num // g, new_den // g))
-            new_num, new_den = new_num * shift, new_den * q * q * (n + 2)  # to k = n/2 + 1
+            row.append(new)
+            num, den = new[0] * (p * p - q * q), new[1] * q * q * (n + 2)
+            g = gcd(num, den)
+            new = (num // g, den // g)
         yield row
 
 

@@ -420,12 +420,22 @@ class TestEarlyPowerRefusal:
         ids=["table-a-n1e9", "table-b-n1e9", "expand-legendre-n5000", "expand-derivative-n5000"],
     )
     def test_refused_within_seconds(self, argv):
+        self.assert_refused(argv, timeout=5)
+
+    def test_table_exits_at_its_first_row_too_long(self):
+        # lam = 0 passes the lam^n check at any degree, but a_{n/2} =
+        # (-1)^k/(2^k k!) passes 10^4000 near n = 2670: the table must stop
+        # there, not build every row up to n = 10^9 before guarding.
+        self.assert_refused(("table", "a", "--n-max", "1000000000", "--lambda", "0"), timeout=60)
+
+    @staticmethod
+    def assert_refused(argv, timeout):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         result = subprocess.run(
             [sys.executable, "-m", "legscale", *argv],
-            capture_output=True, text=True, env=env, check=False, timeout=5,
+            capture_output=True, text=True, env=env, check=False, timeout=timeout,
         )
         assert (result.returncode, result.stdout) == (2, "")
         assert "more than 4000 digits" in result.stderr

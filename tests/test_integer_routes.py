@@ -295,11 +295,13 @@ TABLE_LAMBDAS = DEFAULT_LAMBDAS + (Fraction(17, 7), Fraction(-20, 7), Fraction(1
 
 @pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
 def test_a_rows_match_closed_form(lam):
-    # Pairs, not Fractions: each must already be in lowest terms.
+    # Pairs, not Fractions: each must already be in lowest terms. Both
+    # routes are also held to the Fraction formula.
     rows = list(_a_rows(lam, 60))
     assert len(rows) == 61
     for n, row in enumerate(rows):
         assert row == [(c.numerator, c.denominator) for c in expand_derivative_form(lam, n).coeffs], n
+        assert [Fraction(*pair) for pair in row] == [ref_a(lam, n, k) for k in range(n // 2 + 1)], n
 
 
 @pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
