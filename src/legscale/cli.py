@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import _doha_alphas, legendre_bonnet
 from .rationals import format_rational, parse_rational
@@ -126,17 +126,25 @@ def _check_digits(digits: int) -> None:
         raise UsageError("digits must lie in 1..50")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     if args.output is None or args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
-def _plain_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """CSV of cells csv.QUOTE_MINIMAL leaves bare: ints, "p/q" and decimals."""
-    return "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows), ""])
+def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """CSV of cells csv.QUOTE_MINIMAL leaves bare (ints, "p/q" and decimals), in
+    chunks of at least 64 KiB: an unbuffered stream makes each write a system call."""
+    lines, size = [",".join(header) + "\n"], 0
+    for row in rows:
+        lines.append(",".join(map(str, row)) + "\n")
+        size += len(lines[-1])
+        if size >= 65536:
+            yield "".join(lines)
+            lines, size = [], 0
+    yield "".join(lines)
 
 
 def _json_text(payload: object) -> str:
@@ -163,11 +171,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n_max)
 
-    # each row as (index prefix, reduced (numerator, denominator) pairs)
+    # each row as (index prefix, cells): reduced (num, den) pairs, or Doha's ints for alpha
+    alpha = args.kind == "alpha"
     degrees = range(args.n_max + 1)
-    if args.kind == "alpha":
+    if alpha:
         header = ["n", "k", "i"]
-        rows = (((n, k), [(a, 1) for a in _doha_alphas(n, k)]) for n in degrees for k in range(n + 1))
+        rows = (((n, k), _doha_alphas(n, k)) for n in degrees for k in range(n + 1))
     else:
         header = ["n", "k"]
         pairs = _a_rows(lam, args.n_max) if args.kind == "a" else (
@@ -175,28 +184,30 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rows = (((n,), row) for n, row in enumerate(pairs))
     header += ["value"] if args.digits is None else ["value", "float"]
 
-    records: List[Tuple[object, ...]] = []
+    # all or nothing: held once, as made, until the last row passes; then rendered by chunk
+    kept = []
     for prefix, row in rows:  # guarded as made: the first row too long to print exits 2
-        _check_printable(max(abs(num), den) for num, den in row)
-        for j, (num, den) in enumerate(row):
-            value = f"{num}/{den}" if den != 1 else str(num)
-            if args.digits is None:
-                records.append((*prefix, j, value))
-            else:
-                records.append((*prefix, j, value, format_decimal(Fraction(num, den), args.digits)))
+        _check_printable(row if alpha else (max(abs(num), den) for num, den in row))
+        kept.append((prefix, row))
+
+    def records() -> Iterator[Tuple[object, ...]]:
+        for prefix, row in kept:
+            for j, cell in enumerate(row):
+                num, den = (cell, 1) if alpha else cell
+                value = f"{num}/{den}" if den != 1 else str(num)
+                if args.digits is None:
+                    yield (*prefix, j, value)
+                else:
+                    yield (*prefix, j, value, format_decimal(Fraction(num, den), args.digits))
 
     if args.format == "csv":
-        text = _plain_csv(header, records)
-    else:
-        text = _json_text(
-            {
-                "kind": args.kind,
-                "lambda": format_rational(lam) if lam is not None else None,
-                "n_max": args.n_max,
-                "rows": [dict(zip(header, record)) for record in records],
-            }
-        )
-    _emit(args, text)
+        _emit(args, _csv_chunks(header, records()))
+        return EXIT_OK
+    json_rows = [dict(zip(header, record)) for record in records()]
+    kept.clear()  # the rows now hold the text, and json.dumps makes one more copy
+    lam_text = format_rational(lam) if lam is not None else None
+    payload = {"kind": args.kind, "lambda": lam_text, "n_max": args.n_max, "rows": json_rows}
+    _emit(args, [_json_text(payload)])
     return EXIT_OK
 
 
@@ -211,12 +222,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
         _check_printable(expansion.coeffs)
         if args.format == "csv":
-            text = _plain_csv(
+            chunks = _csv_chunks(
                 ["k", "value"],
-                [[k, format_rational(c)] for k, c in enumerate(expansion.coeffs)],
+                ((k, format_rational(c)) for k, c in enumerate(expansion.coeffs)),
             )
         else:
-            text = _json_text(expansion.to_json())
+            chunks = [_json_text(expansion.to_json())]
     else:
         if args.k is None:
             raise UsageError("--k is required for derivative expansions")
@@ -228,16 +239,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         derivative = deriv_expand_closed(args.n, args.k)
         _check_printable(derivative.alphas)
         if args.format == "csv":
-            text = _plain_csv(
+            chunks = _csv_chunks(
                 ["degree", "value"],
-                [
-                    [derivative.degree_of(i), format_rational(a)]
-                    for i, a in enumerate(derivative.alphas)
-                ],
+                ((derivative.degree_of(i), format_rational(a)) for i, a in enumerate(derivative.alphas)),
             )
         else:
-            text = _json_text(derivative.to_json())
-    _emit(args, text)
+            chunks = [_json_text(derivative.to_json())]
+    _emit(args, chunks)
     return EXIT_OK
 
 
@@ -311,7 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "suites": [r.to_json() for r in reports],
             }
         )
-    _emit(args, text)
+    _emit(args, [text])
     for r in reports:
         sys.stderr.write(f"{r.subject:<24}{r.status}  {r.cases} cases\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
@@ -392,8 +400,9 @@ _HANDLERS = {
 }
 
 # Flags whose values may start with "-" (negative rationals); fused with "="
-# so argparse does not mistake the value for an option string.
-_SIGNED_VALUE_FLAGS = ("--lambda", "--x")
+# so argparse does not mistake the value for an option string. argparse also
+# takes the prefixes --l ... --lambd for --lambda: no other option starts --l.
+_SIGNED_VALUE_FLAGS = ("--x", *("--lambda"[:end] for end in range(3, 9)))
 
 
 def _fuse_signed_values(argv: Sequence[str]) -> List[str]:

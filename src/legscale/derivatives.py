@@ -30,8 +30,9 @@ signals a bug; the verification module sweeps exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm, perm
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .polynomials import LegendreSeries, _doha_alphas
 from .rationals import Record, format_rational, parse_rational
@@ -119,21 +120,18 @@ def deriv_expand_telescoping(n: int, k: int) -> DerivExpansion:
     """Expand d^k P_n by applying the single-derivative rewrite k times.
 
     Each pass replaces d/dx P_m with sum over m' = m-1, m-3, ... >= 0 of
-    (2m'+1) P_{m'}; the weights are integers, so coefficients accumulate
-    exactly in ints. Returns the empty expansion when k > n.
+    (2m'+1) P_{m'}, in ints; the degrees of a pass share one parity, so P_t
+    gets (2t+1) times the running sum of c_m over m > t: O(n) per pass.
+    Returns the empty expansion when k > n.
     """
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())
-    current: Dict[int, int] = {n: 1}
-    for _ in range(k):
-        nxt: Dict[int, int] = {}
-        for m, c in current.items():
-            for target in range(m - 1, -1, -2):
-                nxt[target] = nxt.get(target, 0) + c * (2 * target + 1)
-        current = nxt
-    count = (n - k) // 2 + 1
-    return DerivExpansion(n, k, tuple(Fraction(current.get(n - k - 2 * i, 0)) for i in range(count)))
+    alphas = [1] + [0] * (n // 2)  # at P_n, P_{n-2}, ...; k = 0 keeps the computed zeros
+    for top in range(n - 1, n - k - 1, -1):  # a pass leaves degrees top, top-2, ..., 0 or 1
+        running = accumulate(alphas[: top // 2 + 1])
+        alphas = [(2 * (top - 2 * i) + 1) * total for i, total in enumerate(running)]
+    return DerivExpansion(n, k, tuple(map(Fraction, alphas)))
 
 
 def _murphy_scaled(n: int, k: int) -> List[int]:

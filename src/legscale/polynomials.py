@@ -240,7 +240,7 @@ class LegendreSeries:
             degree = int(m)
             if degree < 0:
                 raise ValueError("series degrees must be >= 0")
-            value = data.get(degree, Fraction(0)) + as_rational(c)
+            value = as_rational(c) + data[degree] if degree in data else as_rational(c)
             if value == 0:
                 data.pop(degree, None)
             else:

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import legscale.cli
 import legscale.verify
 from legscale import ScalingExpansion, expand_derivative_form, legendre_bonnet
 from legscale.cli import format_decimal, main
+from legscale.scaling import _a_rows
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +379,25 @@ class TestEval:
         assert "more than 4000 digits" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--n", "3", "--lambda", "-3/5", "--x", "1/2"),
+        ("table", "a", "--n-max", "6", "--lambda", "-3/5"),
+        ("verify", "eq9", "--n-max", "6", "--lambda", "-3/5"),
+    ],
+    ids=["eval", "table-a", "verify-eq9"],
+)
+@pytest.mark.parametrize("spelling", ["--l", "--la", "--lam", "--lamb", "--lambd"])
+def test_abbreviated_lambda_takes_a_negative_value(capsys, argv, spelling):
+    # argparse accepts every unambiguous prefix of --lambda, so each must
+    # take a value starting with "-" as --lambda itself does.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    abbreviated = tuple(spelling if token == "--lambda" else token for token in argv)
+    assert run_cli(capsys, *abbreviated)[:2] == (0, out)
+
+
 class TestOversizedExactValues:
     """An exact value whose numerator or denominator is too long to print
     exits 2 under the same 4000-digit bound as `eval`, instead of a
@@ -462,6 +484,83 @@ class TestEarlyPowerRefusal:
         assert not self.refuses(Fraction(lam), 10 ** 9)
 
 
+class TestTableOutput:
+    """`table` keeps its rows as the ints the generators make until the last
+    one passes the print guard, then writes the CSV in large chunks."""
+
+    def test_peak_memory_is_below_one_and_a_half_file_sizes(self, tmp_path):
+        # Three text copies of the table (records, lines, joined document)
+        # peaked at 3.7 times the file; the kept ints and one chunk stay below 1.
+        target = tmp_path / "a.csv"
+        tracemalloc.start()
+        try:
+            code = main(["table", "a", "--n-max", "200", "--lambda", "20/7", "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * target.stat().st_size, (peak, target.stat().st_size)
+
+    @pytest.mark.parametrize("digits", [None, "8"], ids=["exact", "digits"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "a", "--n-max", "120", "--lambda", "20/7"),
+            ("table", "b", "--n-max", "30", "--lambda", "-17/7"),
+            ("table", "alpha", "--n-max", "24"),
+        ],
+        ids=["a", "b", "alpha"],
+    )
+    def test_output_file_equals_stdout(self, capsys, tmp_path, argv, digits):
+        argv += ("--digits", digits) if digits else ()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "table.csv"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_large_table_is_written_in_few_chunks(self, monkeypatch):
+        # Each write to an unbuffered stream is a system call: a table of
+        # several 64 KiB takes a few writes, not one per line or per row.
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["table", "a", "--n-max", "120", "--lambda", "20/7"]) == 0
+        size = sum(writes)
+        assert size == len(sys.stdout.getvalue()) > 4 * 65536
+        assert len(writes) <= size // 65536 + 1
+        assert min(writes[:-1]) >= 65536
+
+    def test_refused_table_creates_no_file(self, tmp_path):
+        # lam = 0 passes the early lam^n check; the row guard stops the table
+        # near n = 2674, before the output file is opened.
+        target = tmp_path / "refused.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-m", "legscale", "table", "a", "--n-max", "1000000000", "--lambda", "0",
+             "--output", str(target)],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "more than 4000 digits" in result.stderr
+        assert not target.exists()
+
+    def test_kept_a_rows_stay_valid(self):
+        # The table keeps each row `_a_rows` yields: every row must be a new
+        # list, not one the generator changes to make the next row.
+        lam = Fraction(20, 7)
+        rows = list(_a_rows(lam, 80))
+        assert len({id(row) for row in rows}) == len(rows)
+        for n, row in enumerate(rows):
+            assert row == [(c.numerator, c.denominator) for c in expand_derivative_form(lam, n).coeffs], n
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ("verify", "all", "--n-max", "5", "--seed", "11")
@@ -515,6 +614,8 @@ GOLDEN_STDOUT = {
         "70fb92abfd2eac88de8ea687d3f40a653837a7ebead520a5acb6db0709a30f8a",
     ("table", "b", "--n-max", "30", "--lambda", "-1", "--digits", "8"):
         "ba66818d2c9bd9baf5371fd3c555be6692c7ecd1362a412e5374a9c8af16c782",
+    ("table", "b", "--n-max", "40", "--lambda", "20/7"):
+        "c51147aad5b2ed0d255ddc2057c5b0723266dc7787c6ba2b2fed0c13b7dea8df",
 }
 
 

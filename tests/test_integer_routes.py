@@ -9,7 +9,10 @@ by exact equality against a reference model written with Fractions and
 composed from the a_j and Doha's closed-form rows, are checked against the
 diagonal alpha sums `scaling` used before. The rows of `table a`, built by
 a_k(n+1) = lam * a_k(n), and of `table alpha`, read from Doha's ints, are
-checked against `expand_derivative_form` and `deriv_expand_closed`.
+checked against `expand_derivative_form` and `deriv_expand_closed`. The
+telescoping route, now running sums over one parity, is checked against
+its dict-per-pass form, and the `LegendreSeries` constructor against the
+one that added to Fraction(0) for every term.
 """
 
 from fractions import Fraction
@@ -32,6 +35,7 @@ from legscale import (
     binomial,
     deriv_expand_closed,
     deriv_expand_recurrence,
+    deriv_expand_telescoping,
     differentiate,
     falling_factorial,
     expand_derivative_form,
@@ -46,7 +50,7 @@ from legscale import (
     to_poly,
 )
 from legscale.cli import main
-from legscale.rationals import format_rational
+from legscale.rationals import as_rational, format_rational
 from legscale.scaling import _a_rows
 from legscale.verify import _combination, _to_z_coeffs
 
@@ -113,6 +117,37 @@ def ref_recurrence(n: int, k: int):
         )
         values.append(lead - sum(comb(2 * (n - k - i - l), 2 * (i - l)) * values[l] for l in range(i)))
     return tuple(values)
+
+
+def ref_telescoping(n: int, k: int):
+    """The telescoping route as a dict per pass: every term of every pass
+    spread over all lower degrees of the other parity, O(n^2) per pass."""
+    if k > n:
+        return ()
+    current = {n: 1}
+    for _ in range(k):
+        nxt = {}
+        for m, c in current.items():
+            for target in range(m - 1, -1, -2):
+                nxt[target] = nxt.get(target, 0) + c * (2 * target + 1)
+        current = nxt
+    count = (n - k) // 2 + 1
+    return tuple(Fraction(current.get(n - k - 2 * i, 0)) for i in range(count))
+
+
+def ref_series_terms(pairs):
+    """The `LegendreSeries` constructor that added every term to Fraction(0)."""
+    data = {}
+    for m, c in pairs:
+        degree = int(m)
+        if degree < 0:
+            raise ValueError("series degrees must be >= 0")
+        value = data.get(degree, Fraction(0)) + as_rational(c)
+        if value == 0:
+            data.pop(degree, None)
+        else:
+            data[degree] = value
+    return dict(sorted(data.items()))
 
 
 def ref_a(lam: Fraction, n: int, k: int) -> Fraction:
@@ -202,6 +237,29 @@ def test_recurrence_matches_half_integer_falling_factorials():
     for n in range(25):
         for k in range(n + 1):
             assert deriv_expand_recurrence(n, k).alphas == ref_recurrence(n, k), (n, k)
+
+
+def test_telescoping_running_sums_match_the_dict_passes():
+    for n in range(41):
+        for k in range(n + 3):
+            assert deriv_expand_telescoping(n, k).alphas == ref_telescoping(n, k), (n, k)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=15)
+
+
+@given(
+    terms=st.lists(st.tuples(st.integers(0, 6), st.one_of(small_fractions, st.integers(-5, 5))), max_size=12),
+    cancel=st.lists(st.integers(0, 11), max_size=4),
+)
+@settings(deadline=None, max_examples=200)
+def test_series_constructor_matches_adding_to_zero(terms, cancel):
+    # Few degrees, so most draws repeat one; `cancel` appends the negation
+    # of some drawn terms, so pairs cancel and leave computed zeros.
+    pairs = terms + [(terms[i][0], -terms[i][1]) for i in cancel if i < len(terms)]
+    series = LegendreSeries(pairs)
+    assert list(series.items()) == list(ref_series_terms(pairs).items())
+    assert all(type(c) is Fraction and c for c in series.terms.values())
 
 
 def test_murphy_series_matches_rising_factorials():
