@@ -33,9 +33,8 @@ _EXPORTS = {
         )),
         ("scaling", (
             "FORM_DERIVATIVE", "FORM_LEGENDRE", "ScalingExpansion", "a_coefficient",
-            "b_coefficient", "b_coefficient_untruncated", "alpha_nki", "basis_polynomial",
+            "b_coefficient", "b_coefficient_untruncated", "alpha_nki", "expansion_basis",
             "expand_derivative_form", "expand_legendre_form", "expand_legendre_form_untruncated",
-            "expansion_basis",
         )),
         ("verify", (
             "DEFAULT_LAMBDAS", "NONZERO_LAMBDAS", "Counterexample", "VerificationReport",

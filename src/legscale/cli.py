@@ -20,7 +20,7 @@ from .scaling import (
     FORM_LEGENDRE,
     ScalingExpansion,
     _a_rows,
-    basis_polynomial,
+    _basis,
     expand_derivative_form,
     expand_legendre_form,
 )
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .verify import VerificationReport
 
 # Each command imports the modules only it runs (`verify`, `derivatives`,
-# `json`, `csv`) when it runs, so a process loads no more than its command
+# `json`) when it runs, so a process loads no more than its command
 # needs: start-up is a large share of a short invocation.
 
 __all__ = ["main", "run", "format_decimal"]
@@ -135,8 +135,9 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 
 def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
-    """CSV of cells csv.QUOTE_MINIMAL leaves bare (ints, "p/q" and decimals), in
-    chunks of at least 64 KiB: an unbuffered stream makes each write a system call."""
+    """CSV of cells csv.QUOTE_MINIMAL leaves bare (ints, "p/q", decimals, and
+    cells the caller has quoted), in chunks of at least 64 KiB: an unbuffered
+    stream makes each write a system call."""
     lines, size = [",".join(header) + "\n"], 0
     for row in rows:
         lines.append(",".join(map(str, row)) + "\n")
@@ -219,15 +220,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n)
-        expansion = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
-        _check_printable(expansion.coeffs)
-        if args.format == "csv":
-            chunks = _csv_chunks(
-                ["k", "value"],
-                ((k, format_rational(c)) for k, c in enumerate(expansion.coeffs)),
-            )
-        else:
-            chunks = [_json_text(expansion.to_json())]
+        record = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
+        key, values = "k", record.coeffs
+        keys = range(len(values))
     else:
         if args.k is None:
             raise UsageError("--k is required for derivative expansions")
@@ -236,16 +231,14 @@ def _cmd_expand(args: argparse.Namespace) -> int:
                 raise UsageError(f"{flag} does not apply to derivative expansions")
         from .derivatives import deriv_expand_closed
 
-        derivative = deriv_expand_closed(args.n, args.k)
-        _check_printable(derivative.alphas)
-        if args.format == "csv":
-            chunks = _csv_chunks(
-                ["degree", "value"],
-                ((derivative.degree_of(i), format_rational(a)) for i, a in enumerate(derivative.alphas)),
-            )
-        else:
-            chunks = [_json_text(derivative.to_json())]
-    _emit(args, chunks)
+        record = deriv_expand_closed(args.n, args.k)
+        key, values = "degree", record.alphas
+        keys = map(record.degree_of, range(len(values)))
+    _check_printable(values)
+    if args.format == "csv":
+        _emit(args, _csv_chunks([key, "value"], zip(keys, map(format_rational, values))))
+    else:
+        _emit(args, [_json_text(record.to_json())])
     return EXIT_OK
 
 
@@ -265,9 +258,11 @@ def _verify_reports(args: argparse.Namespace) -> List[VerificationReport]:
     if args.seed is not None:
         lambdas = lambdas + verification.random_lambdas(RANDOM_LAMBDA_COUNT, args.seed)
     replay_lambdas = tuple(v for v in lambdas if v != 0)
+    wanted = ("eq9", "eq13", "eq19", "eq26", "replay") if args.suite == "all" else (args.suite,)
+    if "replay" in wanted and not replay_lambdas:  # refused before any suite runs
+        raise UsageError("replay requires at least one nonzero lambda")
 
     reports: List[VerificationReport] = []
-    wanted = ("eq9", "eq13", "eq19", "eq26", "replay") if args.suite == "all" else (args.suite,)
     for suite in wanted:
         if suite == "eq9":
             reports.append(verification.verify_scaling_identity(args.n_max, lambdas, FORM_DERIVATIVE))
@@ -279,8 +274,6 @@ def _verify_reports(args: argparse.Namespace) -> List[VerificationReport]:
         elif suite == "eq26":
             reports.append(verification.verify_recurrence_vs_telescoping(args.n_max))
         else:
-            if not replay_lambdas:
-                raise UsageError("replay requires at least one nonzero lambda")
             reports.append(verification.verify_replay(args.n_max, replay_lambdas))
     return reports
 
@@ -289,37 +282,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = _verify_reports(args)
     all_passed = all(r.passed for r in reports)
 
-    if args.format == "csv":  # the counterexample's JSON needs csv's quoting
-        import csv
-        import io
+    if args.format == "csv":
         import json
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.subject,
-                    r.status,
-                    r.n_range[0],
-                    r.n_range[1],
-                    r.k_range[0] if r.k_range else "",
-                    r.k_range[1] if r.k_range else "",
-                    " ".join(format_rational(v) for v in r.lambdas) if r.lambdas else "",
-                    json.dumps(r.counterexample.to_json()) if r.counterexample else "",
-                ]
+        def quoted(text: str) -> str:  # as csv.QUOTE_MINIMAL quotes a cell holding '"'
+            return '"' + text.replace('"', '""') + '"'
+
+        header = ["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"]
+        chunks = _csv_chunks(header, (
+            (
+                r.subject, r.status, *r.n_range, *(r.k_range or ("", "")),
+                " ".join(map(format_rational, r.lambdas or ())),
+                quoted(json.dumps(r.counterexample.to_json())) if r.counterexample else "",
             )
-        text = buffer.getvalue()
+            for r in reports
+        ))
     else:
-        text = _json_text(
+        chunks = [_json_text(
             {
                 "n_max": args.n_max,
                 "status": "pass" if all_passed else "fail",
                 "suites": [r.to_json() for r in reports],
             }
-        )
-    _emit(args, [text])
+        )]
+    _emit(args, chunks)
     for r in reports:
         sys.stderr.write(f"{r.subject:<24}{r.status}  {r.cases} cases\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
@@ -333,10 +319,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = legendre_bonnet(args.n).evaluate(lam * point)
     else:
         form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
-        value = Fraction(0)
-        for k, c in enumerate(_scaling_expansion(form, lam, args.n).coeffs):
-            if c:  # at lambda = 0, 1, -1 most weights are 0: build no basis for them
-                value += c * basis_polynomial(form, args.n, k).evaluate(point)
+        coeffs = _scaling_expansion(form, lam, args.n).coeffs
+        # one Bonnet walk; at lambda = 0, 1, -1 most weights are 0: build no basis for them
+        nonzero = [k for k, c in enumerate(coeffs) if c]
+        parts = _basis(form, args.n, nonzero)
+        value = sum((coeffs[k] * part.evaluate(point) for k, part in parts), Fraction(0))
     _check_printable((int(value),))  # the decimal rendering prints the integer part in full
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK

@@ -316,6 +316,13 @@ def _bonnet_rows() -> Iterator[List[int]]:
         prev, cur = cur, [(a * c - b * d) // m for c, d in zip(cur + [0], [0] + prev)]
 
 
+def _bonnet_poly(m: int, row: List[int]) -> Poly:
+    """P_m from row m of `_bonnet_rows`: the row's entries over 2^m."""
+    dense = [0] * (m + 1)
+    dense[m::-2] = row
+    return Poly._of(dense, 2 ** m)
+
+
 @lru_cache(maxsize=BONNET_CACHE_SIZE)
 def legendre_bonnet(n: int) -> Poly:
     """P_n via the three-term recurrence (m+1)P_{m+1} = (2m+1)xP_m - mP_{m-1}.
@@ -329,9 +336,7 @@ def legendre_bonnet(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    dense = [0] * (n + 1)
-    dense[n::-2] = next(islice(_bonnet_rows(), n, None))
-    return Poly._of(dense, 2 ** n)
+    return _bonnet_poly(n, next(islice(_bonnet_rows(), n, None)))
 
 
 def legendre_rodrigues(n: int) -> Poly:

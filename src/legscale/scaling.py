@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-from .polynomials import Poly, _doha_alphas, differentiate, legendre_bonnet
+from .polynomials import Poly, _bonnet_poly, _bonnet_rows, _doha_alphas, differentiate
 from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "FORM_LEGENDRE",
     "ScalingExpansion",
     "a_coefficient",
-    "basis_polynomial",
     "expand_derivative_form",
     "alpha_nki",
     "b_coefficient",
@@ -54,7 +53,7 @@ class ScalingExpansion(Record):
     """Coefficient map for one expansion of P_n(lam*x).
 
     ``coeffs[k]``, k = 0 ... floor(n/2), multiplies d^k P_{n-k} in the
-    derivative form and P_{n-2k} in the legendre form (`basis_polynomial`
+    derivative form and P_{n-2k} in the legendre form (`expansion_basis`
     builds them). The map is dense: zero entries are kept so every
     admissible k is listed.
     """
@@ -97,27 +96,28 @@ class ScalingExpansion(Record):
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
 
 
-def basis_polynomial(form: str, n: int, k: int) -> Poly:
-    """The polynomial ``coeffs[k]`` multiplies in an expansion of P_n(lam*x).
-
-    d^k P_{n-k} in the derivative form, P_{n-2k} in the legendre form.
+def _basis(form: str, n: int, ks: Iterable[int]) -> Iterator[Tuple[int, Poly]]:
+    """(k, the polynomial ``coeffs[k]`` multiplies) for each k of `ks`: d^k P_{n-k}
+    in the derivative form, P_{n-2k} in the legendre form. One walk of the Bonnet
+    rows, up to the highest degree the ks need, serves them all; pairs come by
+    ascending degree, one at a time.
     """
+    if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
+        raise ValueError(f"unknown form {form!r}")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"index k must lie in 0 ... {n // 2}")
-    if form == FORM_DERIVATIVE:
-        return differentiate(legendre_bonnet(n - k), k)
-    if form == FORM_LEGENDRE:
-        return legendre_bonnet(n - 2 * k)
-    raise ValueError(f"unknown form {form!r}")
+    derivative = form == FORM_DERIVATIVE
+    wanted = {n - k if derivative else n - 2 * k: k for k in ks}  # degree -> k
+    for m, row in zip(range(max(wanted, default=-1) + 1), _bonnet_rows()):
+        if m in wanted:
+            k = wanted[m]
+            yield k, differentiate(_bonnet_poly(m, row), k) if derivative else _bonnet_poly(m, row)
 
 
 def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
-    """`basis_polynomial(form, n, k)` for every k = 0 ... floor(n/2)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return tuple(basis_polynomial(form, n, k) for k in range(n // 2 + 1))
+    """The polynomial ``coeffs[k]`` multiplies, for every k = 0 ... floor(n/2)."""
+    parts = dict(_basis(form, n, range(n // 2 + 1)))
+    return tuple(parts[k] for k in range(n // 2 + 1))
 
 
 def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]]]:
@@ -145,18 +145,21 @@ def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
     """Rows n = 0 ... n_max of reduced (num, den) pairs a_k, by a_k(n+1) = lam a_k(n)
     plus, at even n = 2k, the new entry a_k(2k) = a_{k-1}(2k-2) (lam^2-1) / (2k).
     lam times a pair cancels only gcd(p, den), never a gcd of two large ints: num
-    divides p^(n-2k) (p^2-q^2)^k, so it is prime to q. `expand_derivative_form`
+    divides p^(n-2k) (p^2-q^2)^k, so it is prime to q. Every zero entry (all but
+    O(1) per row at lam = 0, 1, -1) is one shared `(0, 1)`. `expand_derivative_form`
     is the closed form, the second route."""
     p, q = lam.numerator, lam.denominator
+    zero = (0, 1)
     new = (1, 1)  # a_k(2k), k = 0
     row: List[Tuple[int, int]] = []
     for n in range(n_max + 1):
-        row = [(p // g * num, q * (den // g)) for num, den in row for g in (gcd(p, den),)]
+        row = [(p // g * num, q * (den // g)) if p and num else zero
+               for num, den in row for g in (gcd(p, den),)]
         if n % 2 == 0:
             row.append(new)
             num, den = new[0] * (p * p - q * q), new[1] * q * q * (n + 2)
             g = gcd(num, den)
-            new = (num // g, den // g)
+            new = (num // g, den // g) if num else zero
         yield row
 
 

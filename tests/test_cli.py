@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -270,6 +271,47 @@ class TestVerify:
         assert lines[0].startswith("subject,status")
         assert lines[1].startswith("eq26-vs-telescoping,pass")
 
+    @pytest.mark.parametrize("suite, route", [
+        ("eq19", "deriv_expand_triangular"), ("eq26", "deriv_expand_recurrence"),
+    ])
+    def test_csv_report_quotes_a_counterexample_as_csv_does(self, capsys, monkeypatch, suite, route):
+        real = getattr(legscale.verify, route)
+
+        def corrupted(n, k):
+            expansion = real(n, k)
+            if (n, k) == (4, 2):
+                alphas = (expansion.alphas[0] + Fraction(1, 3),) + expansion.alphas[1:]
+                return type(expansion)(n, k, alphas)
+            return expansion
+
+        monkeypatch.setattr(legscale.verify, route, corrupted)
+        code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "5", "--format", "csv")
+        assert code == 1
+        args = legscale.cli.build_parser().parse_args(["verify", suite, "--n-max", "5"])
+        reports = legscale.cli._verify_reports(args)
+        assert any(r.counterexample for r in reports)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"])
+        for r in reports:
+            writer.writerow([
+                r.subject, r.status, *r.n_range, *r.k_range, "",
+                json.dumps(r.counterexample.to_json()) if r.counterexample else "",
+            ])
+        assert out == buffer.getvalue()
+        assert '""' in out
+
+    def test_all_suite_refuses_zero_lambdas_before_any_suite_runs(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in ("verify_scaling_identity", "verify_derivative_identity", "verify_surplus_rows",
+                     "verify_recurrence_vs_telescoping", "verify_replay"):
+            monkeypatch.setattr(legscale.verify, name, refuse)
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "80", "--lambda", "0")
+        assert (code, out) == (2, "")
+        assert "replay requires at least one nonzero lambda" in err
+
     def test_report_written_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -323,19 +365,40 @@ class TestEval:
         # At lambda = 1 only a_0 is nonzero; building d^k P_{n-k} for the
         # zero weights made a-form 25 times slower at n = 150.
         built = []
-        real = legscale.cli.basis_polynomial
+        real = legscale.cli._basis
 
-        def counting(form, n, k):
-            built.append(k)
-            return real(form, n, k)
+        def spy(form, n, ks):
+            built.extend(ks)
+            return real(form, n, ks)
 
-        monkeypatch.setattr(legscale.cli, "basis_polynomial", counting)
+        monkeypatch.setattr(legscale.cli, "_basis", spy)
         code, out, _ = run_cli(
             capsys, "eval", "--n", "9", "--lambda", "1", "--x", "1/3", "--method", "a-form"
         )
         assert code == 0
         assert out == format_decimal(legendre_bonnet(9).evaluate(Fraction(1, 3)), 12) + "\n"
         assert built == [0]
+
+    @pytest.mark.parametrize("method", ["a-form", "b-form"])
+    def test_basis_comes_from_one_bonnet_walk(self, capsys, monkeypatch, method):
+        # Each basis polynomial used to be a `legendre_bonnet` cache miss that
+        # walked the Bonnet rows again from R_0: 76 walks at n = 150.
+        walks = []
+        real = legscale.polynomials._bonnet_rows
+
+        def counting():
+            walks.append(1)
+            return real()
+
+        for module in (legscale.polynomials, legscale.scaling, legscale.cli, legscale.verify):
+            if hasattr(module, "_bonnet_rows"):
+                monkeypatch.setattr(module, "_bonnet_rows", counting)
+        legendre_bonnet.cache_clear()
+        argv = ("eval", "--n", "150", "--lambda", "7/3", "--x", "3/8", "--method", method)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, len(walks)) == (0, 1)
+        expected = legendre_bonnet(150).evaluate(Fraction(7, 3) * Fraction(3, 8))
+        assert out == format_decimal(expected, 12) + "\n"
 
     def test_bad_inputs_are_usage_errors(self, capsys):
         assert run_cli(capsys, "eval", "--n", "2", "--lambda", "x", "--x", "0.5")[0] == 2
@@ -560,6 +623,17 @@ class TestTableOutput:
         for n, row in enumerate(rows):
             assert row == [(c.numerator, c.denominator) for c in expand_derivative_form(lam, n).coeffs], n
 
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3)])
+    def test_a_rows_share_one_zero(self, lam):
+        # At lam = 0, 1, -1 almost every entry is 0: one shared (0, 1), not a
+        # fresh tuple per entry (35 MB at n_max 1500, lam = 0).
+        rows = list(_a_rows(lam, 60))
+        for n, row in enumerate(rows):
+            assert row == [(c.numerator, c.denominator) for c in expand_derivative_form(lam, n).coeffs], n
+        zeros = [pair for row in rows for pair in row if pair[0] == 0]
+        assert len(zeros) > 400 if lam in (0, 1, -1) else not zeros
+        assert len({id(pair) for pair in zeros}) == len(zeros[:1])
+
 
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
@@ -616,6 +690,18 @@ GOLDEN_STDOUT = {
         "ba66818d2c9bd9baf5371fd3c555be6692c7ecd1362a412e5374a9c8af16c782",
     ("table", "b", "--n-max", "40", "--lambda", "20/7"):
         "c51147aad5b2ed0d255ddc2057c5b0723266dc7787c6ba2b2fed0c13b7dea8df",
+    # recorded before `eval` took its basis from one Bonnet walk and every
+    # CSV went through one writer
+    ("verify", "all", "--n-max", "8", "--seed", "3", "--format", "csv"):
+        "efd143d3ea38e382537855979a8efc910d330ad9c18274db0fea727a18d7d05f",
+    ("expand", "deriv", "--n", "40", "--k", "3", "--format", "csv"):
+        "eaaef80ce1edbcc46eacd5de0b379042a308f21a3424393b1812a7ff8b76cefa",
+    ("expand", "scaled", "--n", "30", "--lambda", "-17/7", "--form", "derivative", "--format", "csv"):
+        "6d049d399a69038dc924aa1d6e0003f2d7c9562f6623b971c13a654a54e507f7",
+    ("eval", "--method", "a-form", "--n", "151", "--lambda", "-1", "--x", "5/8", "--digits", "30"):
+        "6e99da2146ffd6d4cb565c3c869bc3292c98f7d5931fda32dfa3bfddbf66bc77",
+    ("eval", "--method", "b-form", "--n", "150", "--lambda", "0", "--x", "5/8"):
+        "f29f257dccc67ffade435cecf1258f91b788aac4db9830e89305f141e7363d39",
 }
 
 

@@ -10,7 +10,6 @@ from legscale import (
     ScalingExpansion,
     a_coefficient,
     alpha_nki,
-    basis_polynomial,
     b_coefficient,
     b_coefficient_untruncated,
     deriv_expand_recurrence,
@@ -24,6 +23,7 @@ from legscale import (
     project_to_legendre,
     scale_argument,
 )
+from legscale.scaling import _basis
 
 
 def rebuild_derivative_form(expansion: ScalingExpansion) -> Poly:
@@ -237,15 +237,22 @@ class TestScalingExpansionType:
 
 class TestExpansionBasis:
     def test_convention(self):
-        for n in range(9):
+        for n in range(61):
             derivative = expansion_basis(FORM_DERIVATIVE, n)
             legendre = expansion_basis(FORM_LEGENDRE, n)
-            assert len(derivative) == len(legendre) == n // 2 + 1
-            for k in range(n // 2 + 1):
-                assert derivative[k] == differentiate(legendre_bonnet(n - k), k)
-                assert legendre[k] == legendre_bonnet(n - 2 * k)
-                assert basis_polynomial(FORM_DERIVATIVE, n, k) == derivative[k]
-                assert basis_polynomial(FORM_LEGENDRE, n, k) == legendre[k]
+            ks = range(n // 2 + 1)
+            assert derivative == tuple(differentiate(legendre_bonnet(n - k), k) for k in ks)
+            assert legendre == tuple(legendre_bonnet(n - 2 * k) for k in ks)
+            assert sorted(_basis(FORM_DERIVATIVE, n, ks)) == list(enumerate(derivative))
+            assert sorted(_basis(FORM_LEGENDRE, n, ks)) == list(enumerate(legendre))
+
+    @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+    def test_sparse_and_empty_ks(self, form):
+        basis = expansion_basis(form, 40)
+        assert dict(_basis(form, 40, [20, 0, 7])) == {k: basis[k] for k in (0, 7, 20)}
+        assert dict(_basis(form, 40, [13])) == {13: basis[13]}
+        assert list(_basis(form, 40, [])) == []
+        assert list(_basis(form, 0, [0])) == [(0, Poly.one())]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -253,4 +260,4 @@ class TestExpansionBasis:
         with pytest.raises(ValueError):
             expansion_basis(FORM_LEGENDRE, -1)
         with pytest.raises(ValueError):
-            basis_polynomial(FORM_DERIVATIVE, 4, 3)
+            next(_basis("monomial", 2, [0]))

@@ -45,10 +45,22 @@ def baseline():
             "main(['eval', '--method', 'direct', '--n', '5', '--lambda', '7/3', '--x', '3/8'])",
             set(),
         ),
+        *(
+            (
+                "from legscale.cli import main\n"
+                f"main(['eval', '--method', '{method}', '--n', '9', '--lambda', '7/3', '--x', '3/8'])",
+                set(),
+            )
+            for method in ("a-form", "b-form")
+        ),
         ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", set()),
         ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4'])", set()),
+        (
+            "from legscale.cli import main\nmain(['verify', 'eq26', '--n-max', '3', '--format', 'csv'])",
+            {"json", "legscale.verify", "legscale.derivatives"},
+        ),
     ],
-    ids=["cli", "eval direct", "table a", "table alpha"],
+    ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "verify csv"],
 )
 def test_light_paths_load_no_heavy_module(baseline, code, allowed):
     added = loaded_modules(code) - baseline
