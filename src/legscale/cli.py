@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import _doha_alphas, legendre_bonnet
@@ -134,18 +135,24 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
             handle.writelines(chunks)
 
 
+def _batched(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined into chunks of at least 64 KiB (the last one may be
+    shorter): an unbuffered stream makes each write a system call."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
 def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
     """CSV of cells csv.QUOTE_MINIMAL leaves bare (ints, "p/q", decimals, and
-    cells the caller has quoted), in chunks of at least 64 KiB: an unbuffered
-    stream makes each write a system call."""
-    lines, size = [",".join(header) + "\n"], 0
-    for row in rows:
-        lines.append(",".join(map(str, row)) + "\n")
-        size += len(lines[-1])
-        if size >= 65536:
-            yield "".join(lines)
-            lines, size = [], 0
-    yield "".join(lines)
+    cells the caller has quoted), in chunks of at least 64 KiB."""
+    lines = (",".join(map(str, row)) + "\n" for row in rows)
+    return _batched(chain([",".join(header) + "\n"], lines))
 
 
 def _json_text(payload: object) -> str:
@@ -157,6 +164,51 @@ def _json_text(payload: object) -> str:
 def _scaling_expansion(form: str, lam: Fraction, n: int) -> ScalingExpansion:
     expand = expand_derivative_form if form == FORM_DERIVATIVE else expand_legendre_form
     return expand(lam, n)
+
+
+def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
+    """B such that every numerator and denominator `table kind` prints for
+    degrees up to n_max is below 2^B, from bit lengths alone.
+
+    Write b = int.bit_length, N = n_max, H = N // 2, lam = p/q and, for
+    degree n <= N, h = n // 2. An int f >= 1 is below 2^b(f), so a product
+    of such factors is below 2 to the sum of their b (or is 1 = 2^0 when
+    there are none): the final + 1 covers both cases.
+
+    a:  a_k = p^(n-2k) (p^2-q^2)^k / (q^n 2^k k!) (eq. 9, k <= h), and the
+        printed pair is its reduced form, so |num| <= |p|^(n-2k) |p^2-q^2|^k
+        and den <= q^n 2^k k^k:
+        B = N max(b(p), b(q)) + H (b(|p^2-q^2|) + 1 + b(H)) + 1.
+    alpha: entry i of d^k P_n (`polynomials._doha_alphas`) is
+        (2m+1) C(k+i-1, i) times k-1 odd factors below 2n, m = n-k-2i. As
+        C(k+i-1, i) <= 2^(k+i-1) and k+i <= n, it is at most 2^n (2n+1)^n:
+        B = N (1 + b(2N+1)) + 1.
+    b:  the den divides q^n 2^h h!, over which `scaling._legendre_form` sums.
+        b_k = (2m+1)/2 int_{-1}^{1} P_n(lam x) P_m(x) dx, m = n-2k, with
+        |P_m(x)| <= 1 there. For |y| <= L = max(1, |lam|),
+        P_n(y) = 2^-n sum_j C(n, j)^2 (y-1)^(n-j) (y+1)^j gives
+        |P_n(y)| <= C(2n, n) L^n <= 4^n L^n. So |b_k| <= (2n+1) 4^n L^n and,
+        as L q = max(|p|, q), |num| <= (2n+1) 4^n max(|p|, q)^n 2^h h!:
+        B = b(2N+1) + N (2 + b(max(|p|, q))) + H (1 + b(H)) + 1.
+    """
+    b, half = int.bit_length, n_max // 2
+    if kind == "alpha":
+        return n_max * (1 + b(2 * n_max + 1)) + 1
+    p, q = lam.numerator, lam.denominator
+    if kind == "a":
+        return n_max * max(b(p), b(q)) + half * (b(abs(p * p - q * q)) + 1 + b(half)) + 1
+    return b(2 * n_max + 1) + n_max * (2 + b(max(abs(p), q))) + half * (1 + b(half)) + 1
+
+
+def _table_rows(kind: str, lam: Optional[Fraction], n_max: int) -> Iterator[Tuple[Tuple[int, ...], list]]:
+    """The rows of `table kind` as made, each as (index prefix, cells): reduced
+    (num, den) pairs for a and b, Doha's ints for alpha."""
+    degrees = range(n_max + 1)
+    if kind == "alpha":
+        return (((n, k), _doha_alphas(n, k)) for n in degrees for k in range(n + 1))
+    pairs = _a_rows(lam, n_max) if kind == "a" else (
+        [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
+    return (((n,), row) for n, row in enumerate(pairs))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -172,27 +224,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n_max)
 
-    # each row as (index prefix, cells): reduced (num, den) pairs, or Doha's ints for alpha
     alpha = args.kind == "alpha"
-    degrees = range(args.n_max + 1)
-    if alpha:
-        header = ["n", "k", "i"]
-        rows = (((n, k), _doha_alphas(n, k)) for n in degrees for k in range(n + 1))
-    else:
-        header = ["n", "k"]
-        pairs = _a_rows(lam, args.n_max) if args.kind == "a" else (
-            [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
-        rows = (((n,), row) for n, row in enumerate(pairs))
+    # All or nothing, decided before the first byte: when B is below the bit
+    # length of 10^4000, every value is below 2^B <= 2^13287 < 10^4000 and
+    # prints. Only a table that may hold a longer value is walked once to
+    # guard it, exiting 2 at its first row too long to print; the rows are
+    # made again to render them, so only one row is ever held.
+    if _table_bits(args.kind, lam, args.n_max) >= _VALUE_LIMIT.bit_length():
+        for _, row in _table_rows(args.kind, lam, args.n_max):
+            _check_printable(row if alpha else (max(abs(num), den) for num, den in row))
+
+    header = ["n", "k", "i"] if alpha else ["n", "k"]
     header += ["value"] if args.digits is None else ["value", "float"]
 
-    # all or nothing: held once, as made, until the last row passes; then rendered by chunk
-    kept = []
-    for prefix, row in rows:  # guarded as made: the first row too long to print exits 2
-        _check_printable(row if alpha else (max(abs(num), den) for num, den in row))
-        kept.append((prefix, row))
-
     def records() -> Iterator[Tuple[object, ...]]:
-        for prefix, row in kept:
+        for prefix, row in _table_rows(args.kind, lam, args.n_max):
             for j, cell in enumerate(row):
                 num, den = (cell, 1) if alpha else cell
                 value = f"{num}/{den}" if den != 1 else str(num)
@@ -204,11 +250,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(args, _csv_chunks(header, records()))
         return EXIT_OK
-    json_rows = [dict(zip(header, record)) for record in records()]
-    kept.clear()  # the rows now hold the text, and json.dumps makes one more copy
+    import json
+
+    # json.dumps(payload, indent=2), 50 rows at a time: a list of rows on its
+    # own is "[\n  {row},\n  {row}\n]", and in the payload each line of it sits
+    # two spaces deeper. One json.dumps per row costs half as much again.
     lam_text = format_rational(lam) if lam is not None else None
-    payload = {"kind": args.kind, "lambda": lam_text, "n_max": args.n_max, "rows": json_rows}
-    _emit(args, [_json_text(payload)])
+    head = _json_text({"kind": args.kind, "lambda": lam_text, "n_max": args.n_max, "rows": []})
+
+    def pieces() -> Iterator[str]:
+        yield head[:-len("[]\n}\n")] + "[\n    "
+        rows, separator = (dict(zip(header, record)) for record in records()), ""
+        while batch := list(islice(rows, 50)):
+            yield separator + json.dumps(batch, indent=2)[len("[\n  "):-len("\n]")].replace("\n", "\n  ")
+            separator = ",\n    "
+        yield "\n  ]\n}\n"
+
+    _emit(args, _batched(pieces()))
     return EXIT_OK
 
 

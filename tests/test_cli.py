@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -548,21 +549,24 @@ class TestEarlyPowerRefusal:
 
 
 class TestTableOutput:
-    """`table` keeps its rows as the ints the generators make until the last
-    one passes the print guard, then writes the CSV in large chunks."""
+    """`table` holds one row at a time: it renders and writes the rows in
+    large chunks as they are made, after a guard pass when `_table_bits`
+    cannot rule out a value too long to print."""
 
-    def test_peak_memory_is_below_one_and_a_half_file_sizes(self, tmp_path):
-        # Three text copies of the table (records, lines, joined document)
-        # peaked at 3.7 times the file; the kept ints and one chunk stay below 1.
-        target = tmp_path / "a.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_is_below_a_tenth_of_the_file(self, tmp_path, fmt):
+        # Holding the table peaked at 0.67 (CSV) and 4.1 (JSON) times the
+        # file here; one row and one chunk are about 0.02 times it.
+        target = tmp_path / f"a.{fmt}"
+        argv = ["table", "a", "--n-max", "400", "--lambda", "20/7", "--format", fmt, "--output", str(target)]
         tracemalloc.start()
         try:
-            code = main(["table", "a", "--n-max", "200", "--lambda", "20/7", "--output", str(target)])
+            code = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 1.5 * target.stat().st_size, (peak, target.stat().st_size)
+        assert peak < 0.1 * target.stat().st_size, (peak, target.stat().st_size)
 
     @pytest.mark.parametrize("digits", [None, "8"], ids=["exact", "digits"])
     @pytest.mark.parametrize(
@@ -571,8 +575,11 @@ class TestTableOutput:
             ("table", "a", "--n-max", "120", "--lambda", "20/7"),
             ("table", "b", "--n-max", "30", "--lambda", "-17/7"),
             ("table", "alpha", "--n-max", "24"),
+            ("table", "a", "--n-max", "120", "--lambda", "20/7", "--format", "json"),
+            ("table", "b", "--n-max", "30", "--lambda", "-17/7", "--format", "json"),
+            ("table", "alpha", "--n-max", "24", "--format", "json"),
         ],
-        ids=["a", "b", "alpha"],
+        ids=["a", "b", "alpha", "a-json", "b-json", "alpha-json"],
     )
     def test_output_file_equals_stdout(self, capsys, tmp_path, argv, digits):
         argv += ("--digits", digits) if digits else ()
@@ -590,13 +597,14 @@ class TestTableOutput:
                 writes.append(len(text))
                 return super().write(text)
 
-        writes = []
-        monkeypatch.setattr(sys, "stdout", Recorder())
-        assert main(["table", "a", "--n-max", "120", "--lambda", "20/7"]) == 0
-        size = sum(writes)
-        assert size == len(sys.stdout.getvalue()) > 4 * 65536
-        assert len(writes) <= size // 65536 + 1
-        assert min(writes[:-1]) >= 65536
+        for fmt in ("csv", "json"):
+            writes = []
+            monkeypatch.setattr(sys, "stdout", Recorder())
+            assert main(["table", "a", "--n-max", "120", "--lambda", "20/7", "--format", fmt]) == 0
+            size = sum(writes)
+            assert size == len(sys.stdout.getvalue()) > 4 * 65536, fmt
+            assert len(writes) <= size // 65536 + 1, fmt
+            assert min(writes[:-1]) >= 65536, fmt
 
     def test_refused_table_creates_no_file(self, tmp_path):
         # lam = 0 passes the early lam^n check; the row guard stops the table
@@ -615,8 +623,9 @@ class TestTableOutput:
         assert not target.exists()
 
     def test_kept_a_rows_stay_valid(self):
-        # The table keeps each row `_a_rows` yields: every row must be a new
-        # list, not one the generator changes to make the next row.
+        # `table` holds one row at a time, but a caller may keep the rows
+        # `_a_rows` yields: every row must be a new list, not one the
+        # generator changes to make the next row.
         lam = Fraction(20, 7)
         rows = list(_a_rows(lam, 80))
         assert len({id(row) for row in rows}) == len(rows)
@@ -633,6 +642,71 @@ class TestTableOutput:
         zeros = [pair for row in rows for pair in row if pair[0] == 0]
         assert len(zeros) > 400 if lam in (0, 1, -1) else not zeros
         assert len({id(pair) for pair in zeros}) == len(zeros[:1])
+
+
+class TestTableBits:
+    """`_table_bits` bounds every numerator and denominator a table prints,
+    so a table whose bound is below the print limit is written as it is made
+    and only one that may pass it is walked a second time."""
+
+    LAMBDAS = ["0", "1", "-1", "7/3", "-15/7", "1/7", "-3/5", "12/8", "20/7", "-1/1000", "999/1000",
+               "12345/2", "2/12345"]
+
+    @staticmethod
+    def random_lambdas(seed, count=8):
+        rng = random.Random(seed)
+        return [f"{rng.choice('-+')}{rng.randrange(10 ** rng.randrange(1, 12))}/"
+                f"{rng.randrange(1, 10 ** rng.randrange(1, 12))}" for _ in range(count)]
+
+    @pytest.mark.parametrize(
+        "kind, n_maxes", [("a", (0, 1, 2, 61)), ("b", (0, 1, 2, 24)), ("alpha", (0, 1, 2, 40))],
+        ids=["a", "b", "alpha"],
+    )
+    def test_every_printed_value_is_below_the_bound(self, capsys, kind, n_maxes):
+        lambdas = [None] if kind == "alpha" else self.LAMBDAS + self.random_lambdas(len(kind))
+        for lam in lambdas:
+            for n_max in n_maxes:
+                argv = ("table", kind, "--n-max", str(n_max)) + (("--lambda", lam) if lam else ())
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0, argv
+                bits = legscale.cli._table_bits(kind, Fraction(lam) if lam else None, n_max)
+                widest = max(int(part).bit_length()
+                             for line in out.splitlines()[1:] for part in line.rsplit(",", 1)[1].split("/"))
+                assert widest <= bits, (argv, widest, bits)
+
+    @pytest.mark.parametrize(
+        "argv, walks",
+        [
+            (("table", "a", "--n-max", "200", "--lambda", "20/7"), 1),
+            (("table", "a", "--n-max", "200", "--lambda", "20/7", "--format", "json"), 1),
+            (("table", "alpha", "--n-max", "30"), 1),
+            (("table", "a", "--n-max", "1", "--lambda", "7" * 4000), 2),
+            (("table", "b", "--n-max", "2", "--lambda", "-1/" + "9" * 1999, "--format", "json"), 2),
+        ],
+        ids=["a", "a-json", "alpha", "a-long-lambda", "b-long-lambda"],
+    )
+    def test_rows_are_walked_again_only_near_the_print_limit(self, capsys, monkeypatch, argv, walks):
+        made = legscale.cli._table_rows
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return made(*args)
+
+        monkeypatch.setattr(legscale.cli, "_table_rows", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert len(calls) == walks
+
+    def test_refusal_after_the_guard_pass_writes_nothing(self, capsys, tmp_path):
+        # The guard pass, not the lam^n check, refuses here: lam^2 = 4/q^2
+        # prints, but a_1(2) = (4 - q^2) / (2 q^2) has a 4001-digit denominator.
+        target = tmp_path / "refused.json"
+        argv = ("table", "a", "--n-max", "2", "--lambda", "2/" + "7" * 2000, "--format", "json")
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert "more than 4000 digits" in err
+        assert not target.exists()
 
 
 class TestDeterminism:
@@ -702,11 +776,22 @@ GOLDEN_STDOUT = {
         "6e99da2146ffd6d4cb565c3c869bc3292c98f7d5931fda32dfa3bfddbf66bc77",
     ("eval", "--method", "b-form", "--n", "150", "--lambda", "0", "--x", "5/8"):
         "f29f257dccc67ffade435cecf1258f91b788aac4db9830e89305f141e7363d39",
+    # recorded before `table` stopped holding its rows; the last one prints
+    # through the guard pass
+    ("table", "b", "--n-max", "30", "--lambda", "-17/7", "--digits", "8", "--format", "json"):
+        "8e3a5a47789f50ba4388e60b6f0d86ae88c7afcfbcf5e9948190d5c3a74ab20f",
+    ("table", "alpha", "--n-max", "24", "--digits", "5", "--format", "json"):
+        "061ba8aab1fd5c63963c46be952105efa19576742462f0c322600a592e826682",
+    ("table", "a", "--n-max", "2", "--lambda", "7" * 1900):
+        "d83e936694fdfa1d9ca38874ff67d086e855bce66d17b67aa5b3ca1b899bc230",
 }
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN_STDOUT),
+        ids=lambda argv: " ".join(t if len(t) < 40 else f"{t[0]}x{len(t)}" for t in argv),
+    )
     def test_stdout_is_byte_identical(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
