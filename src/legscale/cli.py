@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import _doha_alphas, legendre_bonnet
@@ -72,9 +72,12 @@ def format_decimal(value: Fraction, digits: int) -> str:
 
 
 def _ascii_int(text: str) -> int:
-    """int() for ASCII text only, so "\u0663" is refused instead of read as 3."""
+    """int() for ASCII text without "_", so "\u0663" is refused instead of
+    read as 3 and "1_0" instead of read as 10, as `parse_rational` refuses them."""
     if not text.isascii():
         raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
+    if "_" in text:
+        raise ValueError(text)  # argparse's message, as for any text int() refuses
     return int(text)
 
 
@@ -94,7 +97,7 @@ def _parse_lambda(text: str) -> Fraction:
 
 def _parse_point(text: str) -> Fraction:
     try:
-        if not text.isascii():
+        if not text.isascii() or "_" in text:  # Fraction() reads "1/2_0" as 1/20
             raise ValueError
         if sum(ch.isdigit() for ch in text) > MAX_POINT_DIGITS:
             raise UsageError(f"evaluation point has more than {MAX_POINT_DIGITS} digits")
@@ -201,11 +204,11 @@ def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
 
 
 def _table_rows(kind: str, lam: Optional[Fraction], n_max: int) -> Iterator[Tuple[Tuple[int, ...], list]]:
-    """The rows of `table kind` as made, each as (index prefix, cells): reduced
-    (num, den) pairs for a and b, Doha's ints for alpha."""
+    """The rows of `table kind` as made, each as (index prefix, reduced
+    (num, den) pairs); Doha's ints for alpha are pairs (a, 1)."""
     degrees = range(n_max + 1)
     if kind == "alpha":
-        return (((n, k), _doha_alphas(n, k)) for n in degrees for k in range(n + 1))
+        return (((n, k), [(a, 1) for a in _doha_alphas(n, k)]) for n in degrees for k in range(n + 1))
     pairs = _a_rows(lam, n_max) if kind == "a" else (
         [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
     return (((n,), row) for n, row in enumerate(pairs))
@@ -224,7 +227,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n_max)
 
-    alpha = args.kind == "alpha"
     # All or nothing, decided before the first byte: when B is below the bit
     # length of 10^4000, every value is below 2^B <= 2^13287 < 10^4000 and
     # prints. Only a table that may hold a longer value is walked once to
@@ -232,15 +234,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # made again to render them, so only one row is ever held.
     if _table_bits(args.kind, lam, args.n_max) >= _VALUE_LIMIT.bit_length():
         for _, row in _table_rows(args.kind, lam, args.n_max):
-            _check_printable(row if alpha else (max(abs(num), den) for num, den in row))
+            _check_printable(max(abs(num), den) for num, den in row)
 
-    header = ["n", "k", "i"] if alpha else ["n", "k"]
-    header += ["value"] if args.digits is None else ["value", "float"]
+    indices = ["n", "k", "i"] if args.kind == "alpha" else ["n", "k"]
+    values = ["value"] if args.digits is None else ["value", "float"]
 
     def records() -> Iterator[Tuple[object, ...]]:
         for prefix, row in _table_rows(args.kind, lam, args.n_max):
-            for j, cell in enumerate(row):
-                num, den = (cell, 1) if alpha else cell
+            for j, (num, den) in enumerate(row):
                 value = f"{num}/{den}" if den != 1 else str(num)
                 if args.digits is None:
                     yield (*prefix, j, value)
@@ -248,25 +249,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     yield (*prefix, j, value, format_decimal(Fraction(num, den), args.digits))
 
     if args.format == "csv":
-        _emit(args, _csv_chunks(header, records()))
+        _emit(args, _csv_chunks(indices + values, records()))
         return EXIT_OK
-    import json
-
-    # json.dumps(payload, indent=2), 50 rows at a time: a list of rows on its
-    # own is "[\n  {row},\n  {row}\n]", and in the payload each line of it sits
-    # two spaces deeper. One json.dumps per row costs half as much again.
-    lam_text = format_rational(lam) if lam is not None else None
-    head = _json_text({"kind": args.kind, "lambda": lam_text, "n_max": args.n_max, "rows": []})
-
-    def pieces() -> Iterator[str]:
-        yield head[:-len("[]\n}\n")] + "[\n    "
-        rows, separator = (dict(zip(header, record)) for record in records()), ""
-        while batch := list(islice(rows, 50)):
-            yield separator + json.dumps(batch, indent=2)[len("[\n  "):-len("\n]")].replace("\n", "\n  ")
-            separator = ",\n    "
-        yield "\n  ]\n}\n"
-
-    _emit(args, _batched(pieces()))
+    # The text of json.dumps(payload, indent=2) + "\n", written a row at a
+    # time: the kind is a fixed word, and lambda and the cells hold only
+    # digits, "-", "/" and ".", none of which JSON escapes. Index cells are
+    # numbers, value cells strings.
+    lam_text = "null" if lam is None else f'"{format_rational(lam)}"'
+    head = f'{{\n  "kind": "{args.kind}",\n  "lambda": {lam_text},\n  "n_max": {args.n_max},\n  "rows": [\n'
+    fields = [f'\n      "{name}": {{}}' for name in indices] + [f'\n      "{name}": "{{}}"' for name in values]
+    row = "    {{" + ",".join(fields) + "\n    }}"
+    rows = (row.format(*record) for record in records())
+    first = next(rows)  # every table has the row n = 0
+    _emit(args, _batched(chain([head, first], (",\n" + text for text in rows), ["\n  ]\n}\n"])))
     return EXIT_OK
 
 

@@ -1,10 +1,11 @@
-"""Exact rational scalars, the combinatorial primitives built on them, and
-the immutable record base of the package's value types.
+"""Exact rational scalars at the package's edges: parsing, printing and
+coercion of `fractions.Fraction`, and the immutable record base of the
+value types. No floating point enters any exact computation.
 
-Every coefficient in this package is a `fractions.Fraction`; no floating
-point enters any exact computation. Half-integer arguments such as n - 1/2
-are ordinary Fractions, so falling factorials work uniformly at integer and
-half-integer points.
+Inside, the work runs on ints: a `Poly` holds int numerators over one
+denominator, and the closed forms yield ints or reduced pairs. No other
+module calls `falling_factorial`, `rising_factorial` or `binomial`; they stay
+public Fraction helpers because the benchmark's tracer looks them up.
 """
 
 from __future__ import annotations

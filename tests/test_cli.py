@@ -16,6 +16,7 @@ import legscale.cli
 import legscale.verify
 from legscale import ScalingExpansion, expand_derivative_form, legendre_bonnet
 from legscale.cli import format_decimal, main
+from legscale.rationals import format_rational
 from legscale.scaling import _a_rows
 
 
@@ -114,6 +115,25 @@ class TestTable:
     def test_negative_n_max_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "table", "alpha", "--n-max", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "b", "--lambda", "1_0", "--n-max", "2"),
+            ("table", "alpha", "--n-max", "1_0"),
+            ("expand", "deriv", "--n", "1_0", "--k", "1"),
+            ("expand", "deriv", "--n", "3", "--k", "0_1"),
+            ("table", "b", "--lambda", "2", "--n-max", "2", "--digits", "1_2"),
+            ("verify", "eq9", "--n-max", "2", "--seed", "1_0"),
+            ("eval", "--n", "3", "--lambda", "2", "--x", "1/2_0"),
+        ],
+        ids=["lambda", "n-max", "n", "k", "digits", "seed", "x"],
+    )
+    def test_digit_separators_are_usage_errors(self, capsys, argv):
+        # int() and Fraction() read "1_0" as 10; every numeric flag refuses
+        # it, as --lambda does.
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
 
 
 class TestExpand:
@@ -407,6 +427,8 @@ class TestEval:
         assert run_cli(
             capsys, "eval", "--n", "2", "--lambda", "2", "--x", "0.5", "--digits", "99"
         )[0] == 2
+        assert run_cli(capsys, "eval", "--n", "2", "--lambda", "2", "--x", "0.5", "--digits", "1_2")[0] == 2
+        assert run_cli(capsys, "eval", "--n", "2", "--lambda", "2", "--x", "1e1_0")[0] == 2
 
 
     @pytest.mark.parametrize(
@@ -588,6 +610,28 @@ class TestTableOutput:
         target = tmp_path / "table.csv"
         assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("digits", [None, "8"], ids=["exact", "digits"])
+    @pytest.mark.parametrize(
+        "kind, lam", [("alpha", None)] + [(kind, lam) for kind in ("a", "b")
+                                          for lam in ("0", "1", "-1", "2", "7/3", "-17/7", "12/8")],
+    )
+    def test_json_is_the_text_json_dumps_gives(self, capsys, kind, lam, digits):
+        # The JSON table is written as text, not through `json`: it must be
+        # json.dumps(indent=2) of the payload whose rows are the CSV's cells,
+        # the indices as ints and the values as strings.
+        for n_max in (0, 1, 9):
+            argv = ("table", kind, "--n-max", str(n_max)) + (("--lambda", lam) if lam else ())
+            argv += ("--digits", digits) if digits else ()
+            code, csv_out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            header, *lines = [line.split(",") for line in csv_out.splitlines()]
+            indices = header.index("value")
+            rows = [{name: int(cell) if j < indices else cell for j, (name, cell) in enumerate(zip(header, line))}
+                    for line in lines]
+            payload = {"kind": kind, "lambda": format_rational(Fraction(lam)) if lam else None,
+                       "n_max": n_max, "rows": rows}
+            assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n", "")
 
     def test_large_table_is_written_in_few_chunks(self, monkeypatch):
         # Each write to an unbuffered stream is a system call: a table of

@@ -56,11 +56,18 @@ def baseline():
         ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", set()),
         ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4'])", set()),
         (
+            "from legscale.cli import main\n"
+            "main(['table', 'a', '--lambda', '2', '--n-max', '4', '--format', 'json'])",
+            set(),
+        ),
+        ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4', '--format', 'json'])", set()),
+        (
             "from legscale.cli import main\nmain(['verify', 'eq26', '--n-max', '3', '--format', 'csv'])",
             {"json", "legscale.verify", "legscale.derivatives"},
         ),
     ],
-    ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "verify csv"],
+    ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "table a json",
+         "table alpha json", "verify csv"],
 )
 def test_light_paths_load_no_heavy_module(baseline, code, allowed):
     added = loaded_modules(code) - baseline
