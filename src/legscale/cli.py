@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import _doha_alphas, legendre_bonnet
 from .rationals import format_rational, parse_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
     ScalingExpansion,
     _a_rows,
-    _basis,
+    _basis_values,
+    _doha_alphas,
     expand_derivative_form,
     expand_legendre_form,
 )
@@ -182,7 +182,7 @@ def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
         printed pair is its reduced form, so |num| <= |p|^(n-2k) |p^2-q^2|^k
         and den <= q^n 2^k k^k:
         B = N max(b(p), b(q)) + H (b(|p^2-q^2|) + 1 + b(H)) + 1.
-    alpha: entry i of d^k P_n (`polynomials._doha_alphas`) is
+    alpha: entry i of d^k P_n (`scaling._doha_alphas`) is
         (2m+1) C(k+i-1, i) times k-1 odd factors below 2n, m = n-k-2i. As
         C(k+i-1, i) <= 2^(k+i-1) and k+i <= n, it is at most 2^n (2n+1)^n:
         B = N (1 + b(2N+1)) + 1.
@@ -203,15 +203,18 @@ def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
     return b(2 * n_max + 1) + n_max * (2 + b(max(abs(p), q))) + half * (1 + b(half)) + 1
 
 
-def _table_rows(kind: str, lam: Optional[Fraction], n_max: int) -> Iterator[Tuple[Tuple[int, ...], list]]:
-    """The rows of `table kind` as made, each as (index prefix, reduced
-    (num, den) pairs); Doha's ints for alpha are pairs (a, 1)."""
-    degrees = range(n_max + 1)
+def _table_rows(
+    kind: str, lam: Optional[Fraction], n_max: int, start: int = 0
+) -> Iterator[Tuple[Tuple[int, ...], list]]:
+    """The rows of `table kind` for degrees start ... n_max as made, each as
+    (index prefix, reduced (num, den) pairs); Doha's ints for alpha are pairs
+    (a, 1). The rows of a, a recurrence, are made from degree 0 regardless."""
+    degrees = range(start, n_max + 1)
     if kind == "alpha":
         return (((n, k), [(a, 1) for a in _doha_alphas(n, k)]) for n in degrees for k in range(n + 1))
-    pairs = _a_rows(lam, n_max) if kind == "a" else (
+    pairs = islice(_a_rows(lam, n_max), start, None) if kind == "a" else (
         [(c.numerator, c.denominator) for c in expand_legendre_form(lam, n).coeffs] for n in degrees)
-    return (((n,), row) for n, row in enumerate(pairs))
+    return (((n,), row) for n, row in zip(degrees, pairs))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -227,13 +230,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n_max)
 
-    # All or nothing, decided before the first byte: when B is below the bit
-    # length of 10^4000, every value is below 2^B <= 2^13287 < 10^4000 and
-    # prints. Only a table that may hold a longer value is walked once to
-    # guard it, exiting 2 at its first row too long to print; the rows are
-    # made again to render them, so only one row is ever held.
-    if _table_bits(args.kind, lam, args.n_max) >= _VALUE_LIMIT.bit_length():
-        for _, row in _table_rows(args.kind, lam, args.n_max):
+    # All or nothing, decided before the first byte: a value below 2^B, B
+    # under the bit length of 10^4000, is below 2^13287 < 10^4000 and prints.
+    # B grows with n_max and bounds every lower degree, so rows are guarded
+    # (exit 2 at the first one too long) only from the first degree whose B
+    # reaches the limit, then made again to render: one row is ever held.
+    limit = _VALUE_LIMIT.bit_length()
+    if _table_bits(args.kind, lam, args.n_max) >= limit:
+        start = next(n for n in range(args.n_max + 1) if _table_bits(args.kind, lam, n) >= limit)
+        for _, row in _table_rows(args.kind, lam, args.n_max, start):
             _check_printable(max(abs(num), den) for num, den in row)
 
     indices = ["n", "k", "i"] if args.kind == "alpha" else ["n", "k"]
@@ -368,15 +373,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _check_digits(args.digits)
     lam = _parse_lambda(args.lam)
     point = _parse_point(args.x)
-    if args.method == "direct":
-        value = legendre_bonnet(args.n).evaluate(lam * point)
+    if args.method == "direct":  # P_n(lam*x) is 1 * P_n(y) at y = lam*x
+        form, coeffs, point = FORM_LEGENDRE, (Fraction(1),), lam * point
     else:
         form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
         coeffs = _scaling_expansion(form, lam, args.n).coeffs
-        # one Bonnet walk; at lambda = 0, 1, -1 most weights are 0: build no basis for them
-        nonzero = [k for k, c in enumerate(coeffs) if c]
-        parts = _basis(form, args.n, nonzero)
-        value = sum((coeffs[k] * part.evaluate(point) for k, part in parts), Fraction(0))
+    # at lambda = 0, 1, -1 most weights are 0: evaluate no basis value for them
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    values = _basis_values(form, args.n, point, nonzero)
+    value = sum((coeffs[k] * v for k, v in values), Fraction(0))
     _check_printable((int(value),))  # the decimal rendering prints the integer part in full
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK

@@ -18,7 +18,7 @@ Four independent routes produce the same alpha set:
       alpha_m = (2m+1) * C(k+i-1, i) * prod_{t=0}^{k-2} (2(n-k-i) + 3 + 2t).
 
 The closed form is the production route; the other three verify it. Its
-integer kernel has one owner, `polynomials._doha_alphas`, which
+integer kernel has one owner, `scaling._doha_alphas`, which
 `deriv_expand_closed` wraps and `scaling` composes into the Legendre form.
 All four run in Python integers over one common denominator per value and
 build one Fraction per output alpha.
@@ -34,8 +34,9 @@ from itertools import accumulate
 from math import comb, lcm, perm
 from typing import List, Tuple, Union
 
-from .polynomials import LegendreSeries, _doha_alphas
+from .polynomials import LegendreSeries
 from .rationals import Record, format_rational, parse_rational
+from .scaling import _doha_alphas
 
 __all__ = [
     "DerivExpansion",
@@ -275,7 +276,7 @@ def deriv_expand_recurrence(n: int, k: int) -> DerivExpansion:
 
 
 def deriv_expand_closed(n: int, k: int) -> DerivExpansion:
-    """Full expansion from Doha's closed form (`polynomials._doha_alphas`)."""
+    """Full expansion from Doha's closed form (`scaling._doha_alphas`)."""
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())

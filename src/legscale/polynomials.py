@@ -7,8 +7,6 @@ argument scaling, the exact inner product on [-1, 1], projection onto the
 Legendre basis and the integer linear combination of polynomials. A `Poly`
 holds int numerators over one denominator, so all of these run in Python
 integers; Fractions are built only where values leave a polynomial.
-The integer kernel of Doha's closed form for d^k P_n (`_doha_alphas`)
-lives here, below both `derivatives` and `scaling`, which read it.
 """
 
 from __future__ import annotations
@@ -481,25 +479,3 @@ def to_poly(series: LegendreSeries) -> Poly:
     return _combination(
         [c for _, c in series.items()], [legendre_bonnet(m) for m in series.degrees()]
     )
-
-
-def _doha_alphas(n: int, k: int) -> List[int]:
-    """Doha's closed form (see `derivatives`) for 0 <= k <= n: the Legendre
-    coefficients of d^k P_n as ints, entry i at P_{n-k-2i}.
-
-    The odd-factor product for depth i+1 follows from the one for depth i:
-    multiply by 2(n-k-i)+1, then divide exactly by 2(n-i)-1. At k = 0 the
-    entries past i = 0 are (2m+1) C(i-1, i) = 0, computed, not assumed.
-    """
-    count = (n - k) // 2 + 1
-    if k == 0:
-        return [1] + [(2 * (n - 2 * i) + 1) * comb(i - 1, i) for i in range(1, count)]
-    odd_run = 1
-    for t in range(k - 1):
-        odd_run *= 2 * (n - k) + 3 + 2 * t
-    alphas = []
-    for i in range(count):
-        m = n - k - 2 * i
-        alphas.append((2 * m + 1) * comb(k + i - 1, i) * odd_run)
-        odd_run = odd_run * (2 * (n - k - i) + 1) // (2 * (n - i) - 1)
-    return alphas

@@ -10,7 +10,7 @@ Two equivalent coefficient families:
 
 alpha_nki is the coefficient of P_{n-2k} in d^(k-i) P_{n-k+i}, read from
 Doha's closed form (see `derivatives`; four independent routes agree on
-it), whose integer kernel has one owner, `polynomials._doha_alphas`:
+it), whose integer kernel has one owner, `_doha_alphas` here:
 
     alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t)
 
@@ -19,17 +19,21 @@ table is cached.
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
-P_n(0) is reachable).
+P_n(0) is reachable). Basis values at a point come from integer
+recurrences (`_basis_values`); only `expansion_basis` needs `polynomials`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, List, Tuple
+from itertools import count, islice
+from math import comb, factorial, gcd, prod
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Tuple
 
-from .polynomials import Poly, _bonnet_poly, _bonnet_rows, _doha_alphas, differentiate
 from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .polynomials import Poly
 
 __all__ = [
     "FORM_DERIVATIVE",
@@ -96,28 +100,49 @@ class ScalingExpansion(Record):
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
 
 
-def _basis(form: str, n: int, ks: Iterable[int]) -> Iterator[Tuple[int, Poly]]:
-    """(k, the polynomial ``coeffs[k]`` multiplies) for each k of `ks`: d^k P_{n-k}
-    in the derivative form, P_{n-2k} in the legendre form. One walk of the Bonnet
-    rows, up to the highest degree the ks need, serves them all; pairs come by
-    ascending degree, one at a time.
-    """
+def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
+    """The polynomial ``coeffs[k]`` multiplies, for every k = 0 ... floor(n/2):
+    d^k P_{n-k} (derivative form) or P_{n-2k} (legendre form), all from one
+    walk of the Bonnet rows."""
+    from .polynomials import _bonnet_poly, _bonnet_rows, differentiate
+
     if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
         raise ValueError(f"unknown form {form!r}")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    derivative = form == FORM_DERIVATIVE
-    wanted = {n - k if derivative else n - 2 * k: k for k in ks}  # degree -> k
-    for m, row in zip(range(max(wanted, default=-1) + 1), _bonnet_rows()):
+    step = 1 if form == FORM_DERIVATIVE else 2
+    wanted = {n - step * k: k for k in range(n // 2 + 1)}  # degree -> k
+    rows = zip(range(n + 1), _bonnet_rows())
+    parts = {wanted[m]: _bonnet_poly(m, row) for m, row in rows if m in wanted}
+    return tuple(differentiate(parts[k], k) if step == 1 else parts[k] for k in range(n // 2 + 1))
+
+
+def _ultraspherical(k: int, s: int, t: int) -> Iterator[int]:
+    """W_j = j! t^j C^(k+1/2)_j(s/t), j = 0, 1, ..., by the ultraspherical
+    recurrence (DLMF 18.9) times (j-1)! t^j: W_0 = 1, W_1 = (2k+1) s and
+    W_j = (2j+2k-1) s W_{j-1} - (j-1)(j+2k-1) t^2 W_{j-2}. At k = 0 it is
+    Bonnet's recurrence for V_m = m! t^m P_m(s/t), since C^(1/2)_m = P_m."""
+    prev, cur, t2 = 0, 1, t * t
+    for j in count(1):
+        yield cur
+        prev, cur = cur, (2 * j + 2 * k - 1) * s * cur - (j - 1) * (j + 2 * k - 1) * t2 * prev
+
+
+def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator[Tuple[int, Fraction]]:
+    """(k, the basis polynomial of ``coeffs[k]`` at x) for each k of `ks`, one
+    Fraction each, from `_ultraspherical`: d^k P_{n-k}(x) is (2k-1)!! times
+    C^(k+1/2)_{n-2k}(x), one run per k; every P_{n-2k}(x) comes from one run."""
+    s, t = x.numerator, x.denominator
+    if form == FORM_DERIVATIVE:
+        for k in ks:
+            m = n - 2 * k
+            w = next(islice(_ultraspherical(k, s, t), m, None))
+            yield k, Fraction(prod(range(1, 2 * k, 2)) * w, factorial(m) * t ** m)
+        return
+    wanted = {n - 2 * k: k for k in ks}  # degree -> k
+    for m, v in zip(range(max(wanted, default=-1) + 1), _ultraspherical(0, s, t)):
         if m in wanted:
-            k = wanted[m]
-            yield k, differentiate(_bonnet_poly(m, row), k) if derivative else _bonnet_poly(m, row)
-
-
-def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
-    """The polynomial ``coeffs[k]`` multiplies, for every k = 0 ... floor(n/2)."""
-    parts = dict(_basis(form, n, range(n // 2 + 1)))
-    return tuple(parts[k] for k in range(n // 2 + 1))
+            yield wanted[m], Fraction(v, factorial(m) * t ** m)
 
 
 def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]]]:
@@ -174,12 +199,32 @@ def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
     return expand_derivative_form(lam, n).coefficient(k)
 
 
+def _doha_alphas(n: int, k: int) -> List[int]:
+    """Doha's closed form (see `derivatives`) for 0 <= k <= n: the Legendre
+    coefficients of d^k P_n as ints, entry i at P_{n-k-2i}. The odd-factor
+    product for depth i+1 is the one for depth i times 2(n-k-i)+1, divided
+    exactly by 2(n-i)-1. At k = 0 the entries past i = 0 are computed as
+    (2m+1) C(i-1, i) = 0, not assumed."""
+    entries = (n - k) // 2 + 1
+    if k == 0:
+        return [1] + [(2 * (n - 2 * i) + 1) * comb(i - 1, i) for i in range(1, entries)]
+    odd_run = 1
+    for t in range(k - 1):
+        odd_run *= 2 * (n - k) + 3 + 2 * t
+    alphas = []
+    for i in range(entries):
+        m = n - k - 2 * i
+        alphas.append((2 * m + 1) * comb(k + i - 1, i) * odd_run)
+        odd_run = odd_run * (2 * (n - k - i) + 1) // (2 * (n - i) - 1)
+    return alphas
+
+
 def alpha_nki(n: int, k: int, i: int) -> Fraction:
     """Depth-i weight inside the k-th legendre-form coefficient.
 
     The coefficient of P_{n-2k} in the Legendre expansion of
     d^(k-i) P_{n-k+i}: entry i of the closed-form row of (n-k+i, k-i) in
-    `polynomials._doha_alphas`, the one owner of Doha's closed form. It is
+    `_doha_alphas`, the one owner of Doha's closed form. It is
     1 at i = k = 0; at i = k >= 1 (the zeroth derivative) the kernel
     computes (2(n-2k)+1) * C(k-1, k) = 0 rather than assuming it.
     """

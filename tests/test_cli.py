@@ -383,27 +383,29 @@ class TestEval:
         assert len(outputs) == 1
 
     def test_zero_weights_build_no_basis(self, capsys, monkeypatch):
-        # At lambda = 1 only a_0 is nonzero; building d^k P_{n-k} for the
-        # zero weights made a-form 25 times slower at n = 150.
-        built = []
-        real = legscale.cli._basis
+        # At lambda = 1 only a_0 is nonzero; evaluating d^k P_{n-k} for the
+        # zero weights made a-form 25 times slower at n = 150. Each a-form
+        # basis value is one recurrence run for its k.
+        runs = []
+        real = legscale.scaling._ultraspherical
 
-        def spy(form, n, ks):
-            built.extend(ks)
-            return real(form, n, ks)
+        def spy(k, s, t):
+            runs.append(k)
+            return real(k, s, t)
 
-        monkeypatch.setattr(legscale.cli, "_basis", spy)
+        monkeypatch.setattr(legscale.scaling, "_ultraspherical", spy)
         code, out, _ = run_cli(
             capsys, "eval", "--n", "9", "--lambda", "1", "--x", "1/3", "--method", "a-form"
         )
         assert code == 0
         assert out == format_decimal(legendre_bonnet(9).evaluate(Fraction(1, 3)), 12) + "\n"
-        assert built == [0]
+        assert runs == [0]
 
     @pytest.mark.parametrize("method", ["a-form", "b-form"])
     def test_basis_comes_from_one_bonnet_walk(self, capsys, monkeypatch, method):
         # Each basis polynomial used to be a `legendre_bonnet` cache miss that
-        # walked the Bonnet rows again from R_0: 76 walks at n = 150.
+        # walked the Bonnet rows again from R_0: 76 walks at n = 150. The
+        # basis values now come from scalar recurrences: no polynomial rows.
         walks = []
         real = legscale.polynomials._bonnet_rows
 
@@ -417,7 +419,7 @@ class TestEval:
         legendre_bonnet.cache_clear()
         argv = ("eval", "--n", "150", "--lambda", "7/3", "--x", "3/8", "--method", method)
         code, out, _ = run_cli(capsys, *argv)
-        assert (code, len(walks)) == (0, 1)
+        assert (code, len(walks)) == (0, 0)
         expected = legendre_bonnet(150).evaluate(Fraction(7, 3) * Fraction(3, 8))
         assert out == format_decimal(expected, 12) + "\n"
 
@@ -742,6 +744,32 @@ class TestTableBits:
         assert code == 0 and out
         assert len(calls) == walks
 
+    def test_guard_pass_of_independent_rows_starts_at_the_limit(self, capsys, monkeypatch):
+        # The rows of b are independent and B bounds every degree up to its
+        # n_max, so only degrees whose own B reaches the limit are guarded:
+        # here just n = 40, where the guard used to make all 41 rows twice.
+        made = legscale.cli.expand_legendre_form
+        degrees = []
+
+        def spy(lam, n):
+            degrees.append(n)
+            return made(lam, n)
+
+        monkeypatch.setattr(legscale.cli, "expand_legendre_form", spy)
+        lam = "1/" + "9" * 99
+        limit = legscale.cli._VALUE_LIMIT.bit_length()
+        bits = [legscale.cli._table_bits("b", Fraction(lam), n) for n in (39, 40)]
+        assert bits[0] < limit <= bits[1]
+        code, out, _ = run_cli(capsys, "table", "b", "--n-max", "40", "--lambda", lam)
+        assert code == 0 and out  # its text is in GOLDEN_STDOUT
+        assert degrees == [40] + list(range(41))
+        # a refusal from the shortened guard pass: lam^2 = 1/q^2 prints, but
+        # b_1(2) = (lam^2 - 1)/2 has the 4001-digit denominator 2 q^2
+        degrees.clear()
+        code, out, err = run_cli(capsys, "table", "b", "--n-max", "2", "--lambda", "-1/" + "9" * 1999 + "8")
+        assert (code, out, degrees) == (2, "", [2])
+        assert "more than 4000 digits" in err
+
     def test_refusal_after_the_guard_pass_writes_nothing(self, capsys, tmp_path):
         # The guard pass, not the lam^n check, refuses here: lam^2 = 4/q^2
         # prints, but a_1(2) = (4 - q^2) / (2 q^2) has a 4001-digit denominator.
@@ -828,6 +856,16 @@ GOLDEN_STDOUT = {
         "061ba8aab1fd5c63963c46be952105efa19576742462f0c322600a592e826682",
     ("table", "a", "--n-max", "2", "--lambda", "7" * 1900):
         "d83e936694fdfa1d9ca38874ff67d086e855bce66d17b67aa5b3ca1b899bc230",
+    # recorded before `eval` summed scalar recurrences instead of basis
+    # polynomials and the guard pass of `table b` started at the limit
+    ("eval", "--method", "a-form", "--n", "600", "--lambda", "-15/7", "--x", "-1/3"):
+        "9ef1eec4576d3834f22c2d9e2f822784e98719c390c370fb65ccd0b190aa04cb",
+    ("eval", "--method", "direct", "--n", "151", "--lambda", "-15/7", "--x", "2.5"):
+        "98e436933fdfee0eae94715a21de467b533f6a7cf49c3d9d82d2cd558fb17242",
+    ("eval", "--method", "b-form", "--n", "151", "--lambda", "7/3", "--x", "-1/3", "--digits", "30"):
+        "cca3be049384600b0bb6cb73ff16e08a8530ff664de695d65b36bd1ce0f4aa1b",
+    ("table", "b", "--n-max", "40", "--lambda", "1/" + "9" * 99):
+        "36e7d5ab9bab68aae919dc86886a8e2c0700fa5e9d90070dc366adc09a9cc3d9",
 }
 
 

@@ -12,11 +12,13 @@ a_k(n+1) = lam * a_k(n), and of `table alpha`, read from Doha's ints, are
 checked against `expand_derivative_form` and `deriv_expand_closed`. The
 telescoping route, now running sums over one parity, is checked against
 its dict-per-pass form, and the `LegendreSeries` constructor against the
-one that added to Fraction(0) for every term.
+one that added to Fraction(0) for every term. The scalar recurrences behind
+`eval` are checked against the `Poly` route they replaced: Bonnet
+polynomials and their derivatives, evaluated by Horner.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +53,8 @@ from legscale import (
 )
 from legscale.cli import main
 from legscale.rationals import as_rational, format_rational
-from legscale.scaling import _a_rows
+from legscale.polynomials import _bonnet_poly, _bonnet_rows
+from legscale.scaling import _a_rows, _basis_values, _ultraspherical
 from legscale.verify import _combination, _to_z_coeffs
 
 # --- reference models ---
@@ -382,3 +385,49 @@ def test_table_alpha_prints_the_closed_form(capsys):
         for i, a in enumerate(deriv_expand_closed(n, k).alphas)
     ]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+# --- pointwise evaluation ---
+
+POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 8), Fraction(-7, 5),
+          Fraction(1234567890123456789012345678901234567891, 9876543210987654321098765432109876543211)]
+POINT_LAMBDAS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-20, 7)]
+
+
+@pytest.fixture(scope="module")
+def bonnet_polys():
+    """P_0 ... P_150 from one walk of the Bonnet rows."""
+    return [_bonnet_poly(m, row) for m, row in zip(range(151), _bonnet_rows())]
+
+
+def run_values(k, x, top):
+    """The first top+1 values of `_ultraspherical` at x, each over j! t^j."""
+    run = _ultraspherical(k, x.numerator, x.denominator)
+    return [Fraction(w, factorial(j) * x.denominator ** j) for j, w in zip(range(top + 1), run)]
+
+
+@pytest.mark.parametrize("lam", POINT_LAMBDAS, ids=str)
+def test_bonnet_run_matches_horner(bonnet_polys, lam):
+    # k = 0 is Bonnet's recurrence: V_m / (m! t^m) = P_m(y), here at y = lam * x
+    # as `eval --method direct` uses it.
+    for x in POINTS:
+        y = lam * x
+        assert run_values(0, y, 100) == [bonnet_polys[m].evaluate(y) for m in range(101)], y
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 25, 50])
+def test_ultraspherical_run_matches_derivatives(bonnet_polys, k):
+    # d^k P_{m+k} = (2k-1)!! C^(k+1/2)_m, so (2k-1)!! W_m / (m! t^m) is d^k P_{m+k}(x).
+    odd = prod(range(1, 2 * k, 2))
+    for x in POINTS:
+        expected = [differentiate(bonnet_polys[m + k], k).evaluate(x) for m in range(101)]
+        assert [odd * value for value in run_values(k, x, 100)] == expected, x
+
+
+@pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+def test_basis_values_match_the_basis_polynomials(form):
+    for n in (0, 1, 2, 3, 9, 40, 101):
+        basis = expansion_basis(form, n)
+        for x in POINTS:
+            expected = {k: part.evaluate(x) for k, part in enumerate(basis)}
+            assert dict(_basis_values(form, n, x, range(n // 2 + 1))) == expected, (n, x)

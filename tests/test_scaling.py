@@ -23,7 +23,7 @@ from legscale import (
     project_to_legendre,
     scale_argument,
 )
-from legscale.scaling import _basis
+from legscale.scaling import _basis_values
 
 
 def rebuild_derivative_form(expansion: ScalingExpansion) -> Poly:
@@ -243,21 +243,20 @@ class TestExpansionBasis:
             ks = range(n // 2 + 1)
             assert derivative == tuple(differentiate(legendre_bonnet(n - k), k) for k in ks)
             assert legendre == tuple(legendre_bonnet(n - 2 * k) for k in ks)
-            assert sorted(_basis(FORM_DERIVATIVE, n, ks)) == list(enumerate(derivative))
-            assert sorted(_basis(FORM_LEGENDRE, n, ks)) == list(enumerate(legendre))
 
     @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
     def test_sparse_and_empty_ks(self, form):
+        # The pointwise basis values, for any subset of k, are the basis
+        # polynomials evaluated at the point.
         basis = expansion_basis(form, 40)
-        assert dict(_basis(form, 40, [20, 0, 7])) == {k: basis[k] for k in (0, 7, 20)}
-        assert dict(_basis(form, 40, [13])) == {13: basis[13]}
-        assert list(_basis(form, 40, [])) == []
-        assert list(_basis(form, 0, [0])) == [(0, Poly.one())]
+        x = Fraction(-7, 5)
+        assert dict(_basis_values(form, 40, x, [20, 0, 7])) == {k: basis[k].evaluate(x) for k in (0, 7, 20)}
+        assert dict(_basis_values(form, 40, x, [13])) == {13: basis[13].evaluate(x)}
+        assert list(_basis_values(form, 40, x, [])) == []
+        assert list(_basis_values(form, 0, x, [0])) == [(0, Fraction(1))]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             expansion_basis("monomial", 2)
         with pytest.raises(ValueError):
             expansion_basis(FORM_LEGENDRE, -1)
-        with pytest.raises(ValueError):
-            next(_basis("monomial", 2, [0]))

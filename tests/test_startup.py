@@ -14,9 +14,13 @@ import legscale
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Modules a light command must not load: `dataclasses` pulls in `inspect`
-# and `ast`; `json` and `csv` serve output formats; `verify` and
-# `derivatives` serve other commands.
-HEAVY = {"dataclasses", "inspect", "json", "csv", "legscale.verify", "legscale.derivatives"}
+# and `ast`; `json` and `csv` serve output formats; `verify`, `derivatives`
+# and `polynomials` serve other commands (`eval` evaluates by scalar
+# recurrences, `table` and `expand scaled` compute coefficients only).
+HEAVY = {
+    "dataclasses", "inspect", "json", "csv",
+    "legscale.verify", "legscale.derivatives", "legscale.polynomials",
+}
 
 
 def loaded_modules(code: str) -> set:
@@ -63,11 +67,17 @@ def baseline():
         ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4', '--format', 'json'])", set()),
         (
             "from legscale.cli import main\nmain(['verify', 'eq26', '--n-max', '3', '--format', 'csv'])",
-            {"json", "legscale.verify", "legscale.derivatives"},
+            {"json", "legscale.verify", "legscale.derivatives", "legscale.polynomials"},
+        ),
+        ("from legscale.cli import main\nmain(['table', 'b', '--n-max', '4', '--lambda', '2'])", set()),
+        ("from legscale.cli import main\nmain(['expand', 'scaled', '--n', '6', '--lambda', '2'])", {"json"}),
+        (
+            "from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2'])",
+            {"json", "legscale.derivatives", "legscale.polynomials"},
         ),
     ],
     ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "table a json",
-         "table alpha json", "verify csv"],
+         "table alpha json", "verify csv", "table b", "expand scaled", "expand deriv"],
 )
 def test_light_paths_load_no_heavy_module(baseline, code, allowed):
     added = loaded_modules(code) - baseline
