@@ -186,7 +186,7 @@ def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
         (2m+1) C(k+i-1, i) times k-1 odd factors below 2n, m = n-k-2i. As
         C(k+i-1, i) <= 2^(k+i-1) and k+i <= n, it is at most 2^n (2n+1)^n:
         B = N (1 + b(2N+1)) + 1.
-    b:  the den divides q^n 2^h h!, over which `scaling._legendre_form` sums.
+    b:  the den divides q^n 2^k k! (`scaling._legendre_form`), so q^n 2^h h!.
         b_k = (2m+1)/2 int_{-1}^{1} P_n(lam x) P_m(x) dx, m = n-2k, with
         |P_m(x)| <= 1 there. For |y| <= L = max(1, |lam|),
         P_n(y) = 2^-n sum_j C(n, j)^2 (y-1)^(n-j) (y+1)^j gives

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .rationals import RationalLike, as_rational, format_rational, parse_rational
@@ -433,22 +434,22 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
 
         c_m = (2m+1) * sum_j R_m[j] M_j / (2^m D L).
 
-    Deliberately walks every degree 0 ... n, so vanishing coefficients are
-    computed, not assumed; this keeps the projection usable as an
-    independent check on any coefficient formula. O(n^2) integer work.
+    i+j+1 is odd, so the n+1 weights L/d, d = 1, 3, ..., 2n+1, are divided
+    out once. Deliberately walks every degree 0 ... n, so vanishing
+    coefficients are computed, not assumed; this keeps the projection usable
+    as an independent check on any coefficient formula. O(n^2) products.
     """
     if p.is_zero:
         return LegendreSeries()
     nums, den = p._nums, p._den
     size = len(nums)
     big_l = _odd_lcm(size)
-    moments = [
-        sum(nums[i] * (big_l // (i + j + 1)) for i in range(j % 2, size, 2))
-        for j in range(size)
-    ]
+    weights = [big_l // d for d in range(1, 2 * size, 2)]  # entry t is L/(2t+1)
+    # M_j pairs N_i, i = j mod 2, j mod 2 + 2, ..., with L/(i+j+1) from t = ceil(j/2) on
+    moments = [sum(map(mul, nums[j % 2::2], weights[(j + 1) // 2:])) for j in range(size)]
     found = []
     for m, row in zip(range(size), _bonnet_rows()):
-        total = sum(r * mu for r, mu in zip(row, moments[m::-2]))
+        total = sum(map(mul, row, moments[m::-2]))
         if total:
             found.append((m, Fraction((2 * m + 1) * total, 2 ** m * den * big_l)))
     return LegendreSeries(found)

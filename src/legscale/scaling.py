@@ -5,8 +5,8 @@ Two equivalent coefficient families:
 * derivative form:  P_n(lam*x) = sum_k a_k * d^k/dx^k P_{n-k}(x),
   a_k = lam^(n-2k) (lam^2-1)^k / (2^k k!);
 * legendre form:    P_n(lam*x) = sum_k b_k * P_{n-2k}(x),
-  b_k = sum_{j=1}^{k} a_j * alpha_nki(n, k, k-j) (b_0 = a_0): the
-  derivative form with each d^j P_{n-j} replaced by its Legendre series.
+  b_k = sum_{i<k} a_{k-i} * alpha_nki(n, k, i) (b_0 = a_0): the derivative
+  form with each d^j P_{n-j} replaced by its Legendre series.
 
 alpha_nki is the coefficient of P_{n-2k} in d^(k-i) P_{n-k+i}, read from
 Doha's closed form (see `derivatives`; four independent routes agree on
@@ -14,8 +14,9 @@ it), whose integer kernel has one owner, `_doha_alphas` here:
 
     alpha_nki = (2(n-2k)+1) * C(k-1, i) * prod_{t=0}^{k-i-2} (2(n-2k+i) + 3 + 2t)
 
-for k >= 1. All b_k of one n are integer sums over one denominator, so no
-table is cached.
+for k >= 1. With lam = p/q, m = n-2k, u = p^2, v = p^2-q^2 and
+w_i = 2^i k!/(k-i)! alpha_nki(n, k, i), b_k = p^m S_k / (q^n 2^k k!) with
+the integer Horner sum S_k = sum_{i<k} w_i u^i v^(k-i) (`_legendre_form`).
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
@@ -145,27 +146,6 @@ def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator
             yield wanted[m], Fraction(v, factorial(m) * t ** m)
 
 
-def _a_ratios(lam: RationalLike, n: int) -> Tuple[Fraction, List[Tuple[int, int]]]:
-    """lam as a Fraction p/q, and the integer ratio of every a_k,
-    p^(n-2k) (p^2-q^2)^k over q^n 2^k k!, for k = 0 ... floor(n/2).
-
-    (p^2-q^2)^k and q^n 2^k k! are carried from one k to the next.
-    """
-    factor = as_rational(lam)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    p, q = factor.numerator, factor.denominator
-    shift = p * p - q * q
-    shift_power = 1  # (p^2-q^2)^k
-    den = q ** n  # q^n 2^k k!
-    ratios = []
-    for k in range(n // 2 + 1):
-        ratios.append((p ** (n - 2 * k) * shift_power, den))
-        shift_power *= shift
-        den *= 2 * (k + 1)
-    return factor, ratios
-
-
 def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
     """Rows n = 0 ... n_max of reduced (num, den) pairs a_k, by a_k(n+1) = lam a_k(n)
     plus, at even n = 2k, the new entry a_k(2k) = a_{k-1}(2k-2) (lam^2-1) / (2k).
@@ -189,9 +169,20 @@ def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
 
 
 def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
-    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
-    factor, ratios = _a_ratios(lam, n)
-    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(Fraction(*r) for r in ratios))
+    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2): with
+    lam = p/q, a_k = p^(n-2k) (p^2-q^2)^k / (q^n 2^k k!), the power of
+    p^2-q^2 and the denominator carried from one k to the next."""
+    factor = as_rational(lam)
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    p, q = factor.numerator, factor.denominator
+    shift_power, den = 1, q ** n  # (p^2-q^2)^k, q^n 2^k k!
+    coeffs = []
+    for k in range(n // 2 + 1):
+        coeffs.append(Fraction(p ** (n - 2 * k) * shift_power, den))
+        shift_power *= p * p - q * q
+        den *= 2 * (k + 1)
+    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(coeffs))
 
 
 def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
@@ -236,21 +227,31 @@ def alpha_nki(n: int, k: int, i: int) -> Fraction:
 
 
 def _legendre_form(lam: RationalLike, n: int, untruncated: bool) -> ScalingExpansion:
-    """b_k = sum_j a_j * alpha_nki(n, k, k-j) in ints over q^n 2^h h!, h = floor(n/2).
-
-    Row j, the closed form of d^j P_{n-j}, adds its entry i to b_{j+i}. The
-    truncated sum takes row 0 at b_0 only; the untruncated sum takes all of
-    it, whose entries past i = 0 are computed zeros.
-    """
-    factor, ratios = _a_ratios(lam, n)
-    common = ratios[-1][1]
-    sums = [0] * len(ratios)
-    for j, (num, den) in enumerate(ratios):
-        row = _doha_alphas(n - j, j)
-        weight = num * (common // den)
-        for i, alpha in enumerate(row if j or untruncated else row[:1]):
-            sums[j + i] += weight * alpha
-    return ScalingExpansion(factor, n, FORM_LEGENDRE, tuple(Fraction(b, common) for b in sums))
+    """b_k = p^m S_k / (q^n 2^k k!), S_k by Horner in u from i = k-1 down:
+    w_{k-1} = 2^(k-1) k! (2m+1) and w_{i-1} = w_i i (2m+2i+1) / (2(k-i+1)(k-i)),
+    exact, or the step is wrong and raises. The untruncated sum adds the
+    i = k term, whose weight 2^k k! (2m+1) C(k-1, k) is a computed zero."""
+    factor = as_rational(lam)
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    p, q = factor.numerator, factor.denominator
+    u, v = p * p, p * p - q * q
+    den = q ** n  # q^n 2^k k!
+    coeffs = [Fraction(p ** n, den)]  # b_0 = a_0 = lam^n
+    for k in range(1, n // 2 + 1):
+        m = n - 2 * k
+        den *= 2 * k
+        w = 2 ** (k - 1) * factorial(k) * (2 * m + 1)  # w_{k-1}
+        total, v_power = (2 * w * comb(k - 1, k) if untruncated else 0), 1
+        for i in range(k - 1, -1, -1):
+            v_power *= v
+            total = total * u + w * v_power
+            if i:
+                w, rem = divmod(w * i * (2 * m + 2 * i + 1), 2 * (k - i + 1) * (k - i))
+                if rem:
+                    raise ArithmeticError(f"inexact Horner weight {i - 1} for (n, k) = ({n}, {k})")
+        coeffs.append(Fraction(p ** m * total, den))
+    return ScalingExpansion(factor, n, FORM_LEGENDRE, tuple(coeffs))
 
 
 def expand_legendre_form(lam: RationalLike, n: int) -> ScalingExpansion:
@@ -259,12 +260,9 @@ def expand_legendre_form(lam: RationalLike, n: int) -> ScalingExpansion:
 
 
 def expand_legendre_form_untruncated(lam: RationalLike, n: int) -> ScalingExpansion:
-    """Legendre-form weights using the untruncated depth sum (i up to k).
-
-    The extra i = k term carries the weight alpha_nki(n, k, k), which is 0
-    for every k >= 1, so the two expansions must agree; the test suite
-    proves this over the full sweep instead of assuming it.
-    """
+    """Legendre-form weights summing depths i = 0 ... k. The extra term's
+    weight alpha_nki(n, k, k) is a computed 0 for k >= 1, so the two forms
+    must agree; the test suite compares them rather than assuming it."""
     return _legendre_form(lam, n, untruncated=True)
 
 

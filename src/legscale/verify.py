@@ -12,16 +12,17 @@ order is recorded with full coefficient dumps of both sides, since an
 index-convention slip is the likeliest failure and raw dumps localize it
 immediately. The driver counts the cases it checked.
 
-The eq9/eq13 reconstruction, the substitution x = 1 - 2z behind the
-surplus rows and the binomial sum behind the derivation replay run in
-Python integers over one common denominator; a Fraction is built per
-output coefficient only.
+The eq9/eq13 reconstruction, the substitution x = 1 - 2z and the row sums
+behind the surplus rows and the binomial sum behind the derivation replay
+run in Python integers over one common denominator (the surplus rows
+compare by cross-multiplying); a Fraction is built per output coefficient
+or counterexample entry only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import (
@@ -278,17 +279,14 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
     return _report("eq19", n_max, cases, check, (0, n_max))
 
 
-def _to_z_coeffs(p: Poly, width: int) -> Tuple[Fraction, ...]:
-    """Coefficients of p written in powers of z, where x = 1 - 2z.
-
-    With p = sum_m N_m x^m / D, expanding x^m = sum_j C(m,j) (-2z)^j gives
-    the z^j coefficient (-2)^j sum_{m>=j} N_m C(m,j) / D, summed in ints.
+def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
+    """Coefficients z^0 ... z^(width-1) of p in powers of z, where x = 1 - 2z,
+    as int numerators over one denominator: with p = sum_m N_m x^m / D,
+    x^m = sum_j C(m,j) (-2z)^j gives the z^j numerator
+    (-2)^j sum_{m>=j} N_m C(m,j) over D.
     """
     nums, den = p.integer_form
-    return tuple(
-        Fraction((-2) ** j * sum(c * comb(m, j) for m, c in enumerate(nums[j:], j)), den)
-        for j in range(width)
-    )
+    return tuple((-2) ** j * sum(c * comb(m, j) for m, c in enumerate(nums[j:], j)) for j in range(width)), den
 
 
 def verify_surplus_rows(n_max: int) -> VerificationReport:
@@ -298,32 +296,32 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     odd-offset rows are over-determined. Here both row sides are rebuilt
     purely by polynomial substitution x = 1 - 2z and the solved alphas must
     satisfy every such surplus row exactly. The z-row of each basis
-    polynomial P_m is substituted once per call.
+    polynomial P_m is substituted once per call. A row's alpha sum is taken
+    over the lcm of the alpha and z-row denominators.
     """
-    z_rows: Dict[int, Tuple[Fraction, ...]] = {}  # m -> P_m in powers of z, m <= n_max
+    z_rows: Dict[int, Tuple[Tuple[int, ...], int]] = {}  # m -> P_m in powers of z, m <= n_max
 
-    def z_row(m: int) -> Tuple[Fraction, ...]:
+    def z_row(m: int) -> Tuple[Tuple[int, ...], int]:
         if m not in z_rows:
-            z_rows[m] = _to_z_coeffs(legendre_bonnet(m), m + 1)
+            z_rows[m] = _z_form(legendre_bonnet(m), m + 1)
         return z_rows[m]
 
     def check(n: int, k: int) -> Optional[Counterexample]:
         big_n = n - k
         alphas = deriv_expand_triangular(n, k).alphas
-        lhs_rows = _to_z_coeffs(differentiate(legendre_bonnet(n), k), big_n + 1)
-        basis_rows = [z_row(big_n - 2 * i) for i in range(len(alphas))]
-        for j in range(big_n + 1):
-            if (big_n - j) % 2 == 0:
-                continue
-            combined = Fraction(0)
-            for alpha, row in zip(alphas, basis_rows):
-                if j < len(row):  # P_m has no z^j term past j = m
-                    combined += alpha * row[j]
-            if combined != lhs_rows[j]:
+        lhs, lhs_den = _z_form(differentiate(legendre_bonnet(n), k), big_n + 1)
+        rows = [z_row(big_n - 2 * i) for i in range(len(alphas))]
+        dens = [a.denominator * den for a, (_, den) in zip(alphas, rows)]
+        common = lcm(*dens)
+        scaled = [(a.numerator * (common // d), row) for a, d, (row, _) in zip(alphas, dens, rows)]
+        for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
+            # P_m has no z^j term past j = m
+            combined = sum(c * row[j] for c, row in scaled if j < len(row))
+            if combined * lhs_den != lhs[j] * common:
                 return Counterexample(
                     {"n": n, "k": k, "row": j, "check": "surplus-row"},
-                    (format_rational(combined),),
-                    (format_rational(lhs_rows[j]),),
+                    (format_rational(Fraction(combined, common)),),
+                    (format_rational(Fraction(lhs[j], lhs_den)),),
                 )
         return None
 

@@ -1,20 +1,22 @@
 """The integer routes against the code they replaced.
 
 The closed recurrence, the Murphy series of the triangular route, the
-z-substitution behind the surplus rows, the derivation replay, the eq9/eq13
-reconstruction, `to_poly`, `legendre_murphy` and the derivative-form weights
-all run in Python integers over one common denominator. Each is checked here
-by exact equality against a reference model written with Fractions and
-`Poly` products, as the routes were before. The Legendre-form weights b_k,
-composed from the a_j and Doha's closed-form rows, are checked against the
-diagonal alpha sums `scaling` used before. The rows of `table a`, built by
-a_k(n+1) = lam * a_k(n), and of `table alpha`, read from Doha's ints, are
-checked against `expand_derivative_form` and `deriv_expand_closed`. The
-telescoping route, now running sums over one parity, is checked against
-its dict-per-pass form, and the `LegendreSeries` constructor against the
-one that added to Fraction(0) for every term. The scalar recurrences behind
-`eval` are checked against the `Poly` route they replaced: Bonnet
-polynomials and their derivatives, evaluated by Horner.
+z-substitution and the row sums behind the surplus rows, the derivation
+replay, the eq9/eq13 reconstruction, `to_poly`, `legendre_murphy` and the
+derivative-form weights all run in Python integers over one common
+denominator. Each is checked here by exact equality against a reference
+model written with Fractions and `Poly` products, as the routes were before.
+The Legendre-form weights b_k, a Horner sum with one exact weight step per
+term, are checked against the diagonal alpha sums `scaling` used first and
+against the composition of the a_j with Doha's closed-form rows it used
+next. The rows of `table a`, built by a_k(n+1) = lam * a_k(n), and of
+`table alpha`, read from Doha's ints, are checked against
+`expand_derivative_form` and `deriv_expand_closed`. The telescoping route,
+now running sums over one parity, is checked against its dict-per-pass
+form, and the `LegendreSeries` constructor against the one that added to
+Fraction(0) for every term. The scalar recurrences behind `eval` are
+checked against the `Poly` route they replaced: Bonnet polynomials and
+their derivatives, evaluated by Horner.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legscale.verify
 from legscale import (
     DEFAULT_LAMBDAS,
     FORM_DERIVATIVE,
@@ -38,6 +41,7 @@ from legscale import (
     deriv_expand_closed,
     deriv_expand_recurrence,
     deriv_expand_telescoping,
+    deriv_expand_triangular,
     differentiate,
     falling_factorial,
     expand_derivative_form,
@@ -50,12 +54,13 @@ from legscale import (
     replay_rodrigues_derivation,
     rising_factorial,
     to_poly,
+    verify_surplus_rows,
 )
 from legscale.cli import main
 from legscale.rationals import as_rational, format_rational
 from legscale.polynomials import _bonnet_poly, _bonnet_rows
-from legscale.scaling import _a_rows, _basis_values, _ultraspherical
-from legscale.verify import _combination, _to_z_coeffs
+from legscale.scaling import _a_rows, _basis_values, _doha_alphas, _ultraspherical
+from legscale.verify import _combination, _z_form
 
 # --- reference models ---
 
@@ -71,6 +76,56 @@ def ref_z_coeffs(p: Poly, width: int):
         if c:
             substituted = substituted + c * power
     return tuple(substituted.coefficient(j) for j in range(width))
+
+
+def fraction_z_coeffs(p: Poly, width: int):
+    """p in powers of z under x = 1 - 2z, one Fraction per entry: the z^j
+    coefficient (-2)^j sum_{m>=j} N_m C(m,j) / D, as eq24-rows summed it."""
+    nums, den = p.integer_form
+    return tuple(
+        Fraction((-2) ** j * sum(c * comb(m, j) for m, c in enumerate(nums[j:], j)), den)
+        for j in range(width)
+    )
+
+
+def ref_surplus_rows(n_max: int, triangular):
+    """The eq24-rows sweep in Fractions: (first failing (n, k, row, combined,
+    lhs) or None, cases checked), the alpha sum of each odd-offset row added
+    up one Fraction product at a time."""
+    cases = 0
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            cases += 1
+            big_n = n - k
+            alphas = triangular(n, k).alphas
+            lhs = fraction_z_coeffs(differentiate(legendre_bonnet(n), k), big_n + 1)
+            rows = [fraction_z_coeffs(legendre_bonnet(m), m + 1) for m in range(big_n, -1, -2)]
+            for j in range(big_n + 1):
+                if (big_n - j) % 2 == 0:
+                    continue
+                combined = Fraction(0)
+                for alpha, row in zip(alphas, rows):
+                    if j < len(row):
+                        combined += alpha * row[j]
+                if combined != lhs[j]:
+                    return (n, k, j, combined, lhs[j]), cases
+    return None, cases
+
+
+def ref_b_composition(lam: Fraction, n: int, untruncated: bool):
+    """b_k = sum_j a_j * alpha_nki(n, k, k-j) in ints over q^n 2^h h!: row j,
+    Doha's closed form of d^j P_{n-j}, adds its entry i to b_{j+i}. The
+    truncated sum takes row 0 at b_0 only, the untruncated all of it."""
+    p, q = lam.numerator, lam.denominator
+    h = n // 2
+    common = q ** n * 2 ** h * factorial(h)
+    sums = [0] * (h + 1)
+    for j in range(h + 1):
+        weight = p ** (n - 2 * j) * (p * p - q * q) ** j * (common // (q ** n * 2 ** j * factorial(j)))
+        row = _doha_alphas(n - j, j)
+        for i, alpha in enumerate(row if j or untruncated else row[:1]):
+            sums[j + i] += weight * alpha
+    return tuple(Fraction(b, common) for b in sums)
 
 
 def ref_combination(coeffs, parts) -> Poly:
@@ -209,12 +264,17 @@ def ref_to_poly(series: LegendreSeries) -> Poly:
 # --- agreement ---
 
 
+def z_fractions(p: Poly, width: int):
+    nums, den = _z_form(p, width)
+    return tuple(Fraction(c, den) for c in nums)
+
+
 def test_z_substitution_of_bonnet_polynomials():
     for n in range(31):
         p = legendre_bonnet(n)
-        assert _to_z_coeffs(p, n + 1) == ref_z_coeffs(p, n + 1), n
+        assert z_fractions(p, n + 1) == ref_z_coeffs(p, n + 1) == fraction_z_coeffs(p, n + 1), n
         # P_n has the z^j coefficient (-1)^j C(n,j) C(n+j,j)
-        assert _to_z_coeffs(p, n + 1) == tuple(
+        assert z_fractions(p, n + 1) == tuple(
             (-1) ** j * binomial(n, j) * binomial(n + j, j) for j in range(n + 1)
         )
 
@@ -227,7 +287,48 @@ def test_z_substitution_of_bonnet_polynomials():
 def test_z_substitution_of_drawn_polynomials(coeffs, extra):
     p = Poly(coeffs)
     width = len(coeffs) + extra  # entries past the degree are zero
-    assert _to_z_coeffs(p, width) == ref_z_coeffs(p, width)
+    assert z_fractions(p, width) == ref_z_coeffs(p, width) == fraction_z_coeffs(p, width)
+
+
+def test_surplus_rows_match_the_fraction_sums():
+    report = verify_surplus_rows(24)
+    assert report.passed and (None, report.cases) == ref_surplus_rows(24, deriv_expand_triangular)
+
+
+@given(
+    n=st.integers(1, 12),
+    data=st.data(),
+    # mostly zeros, and denominators that are not powers of 2, so the lcm is a real one
+    deltas=st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=21)),
+        min_size=7, max_size=7,
+    ),
+)
+@settings(deadline=None, max_examples=40)
+def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
+    # The alphas of one (n, k) moved by deltas: the integer rows must name the
+    # same case, row and both sides as the Fraction sums.
+    k = data.draw(st.integers(0, n - 1))
+
+    def corrupted(n2, k2):
+        expansion = deriv_expand_triangular(n2, k2)
+        if (n2, k2) != (n, k):
+            return expansion
+        return type(expansion)(n2, k2, tuple(a + d for a, d in zip(expansion.alphas, deltas)))
+
+    expected, cases = ref_surplus_rows(n, corrupted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(legscale.verify, "deriv_expand_triangular", corrupted)
+        report = verify_surplus_rows(n)
+    assert report.cases == cases
+    if expected is None:
+        assert report.passed
+    else:
+        n_bad, k_bad, row, combined, lhs = expected
+        assert report.counterexample.params == {"n": n_bad, "k": k_bad, "row": row, "check": "surplus-row"}
+        assert (report.counterexample.rhs, report.counterexample.lhs) == (
+            (format_rational(lhs),), (format_rational(combined),)
+        )
 
 
 @pytest.mark.parametrize("lam", [Fraction(s) for s in ("1", "-1", "2", "-3/5", "7/3")], ids=str)
@@ -318,6 +419,16 @@ def test_legendre_form_matches_diagonal_alpha_sums(lam):
         if n < 16:
             assert tuple(b_coefficient(lam, n, k) for k in ks) == truncated, n
             assert tuple(b_coefficient_untruncated(lam, n, k) for k in ks) == truncated, n
+
+
+COMPOSITION_LAMBDAS = [Fraction(s) for s in ("0", "1", "-1", "2", "1/2", "-3/5", "7/3", "17/7", "-20/7")]
+
+
+@pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
+def test_legendre_form_matches_the_composition(lam):
+    for n in range(61):
+        assert expand_legendre_form(lam, n).coeffs == ref_b_composition(lam, n, False), n
+        assert expand_legendre_form_untruncated(lam, n).coeffs == ref_b_composition(lam, n, True), n
 
 
 def test_alpha_nki_matches_diagonal_rows():

@@ -218,6 +218,19 @@ def test_projection_matches_oracle_and_round_trips(p):
     assert to_poly(series) == p
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-3, 5), Fraction(7, 3)], ids=str)
+def test_projection_of_scaled_targets_matches_oracle(lam):
+    # The eq13 targets P_n(lam*x) for n <= 60. At lam = 0 each is the
+    # constant P_n(0), or the zero polynomial at odd n: short targets of
+    # one coefficient or none.
+    assert project_to_legendre(Poly()) == projection_oracle(Poly()) == LegendreSeries()
+    for n in range(61):
+        target = scale_argument(legendre_bonnet(n), lam)
+        assert project_to_legendre(target) == projection_oracle(target), n
+        if lam == 0:
+            assert target.degree == (None if n % 2 else 0), n
+
+
 def test_projection_of_high_degree_bonnet_polynomials():
     for n in (60, 61):
         assert project_to_legendre(legendre_bonnet(n)).terms == {n: 1}
