@@ -246,6 +246,13 @@ class LegendreSeries:
                 data[degree] = value
         self._terms: Dict[int, Fraction] = dict(sorted(data.items()))
 
+    @classmethod
+    def _of(cls, terms: Iterable[Tuple[int, Fraction]]) -> "LegendreSeries":
+        """Series from ascending (degree, nonzero Fraction) pairs, taken as they are."""
+        series = cls.__new__(cls)
+        series._terms = dict(terms)
+        return series
+
     @property
     def terms(self) -> Dict[int, Fraction]:
         """Degree -> coefficient map (a copy; ascending degree)."""
@@ -291,6 +298,9 @@ class LegendreSeries:
 
 
 BONNET_CACHE_SIZE = 128
+# The first rows of `_bonnet_rows` as tuples, shared by every projection,
+# never past BONNET_CACHE_SIZE rows; a longer table replaces it, never edits it.
+_bonnet_table: Tuple[Tuple[int, ...], ...] = ()
 
 
 def _bonnet_rows() -> Iterator[List[int]]:
@@ -404,11 +414,6 @@ def scale_argument(p: Poly, lam: RationalLike) -> Poly:
     return Poly._of(out, p._den * b ** top)
 
 
-def _odd_lcm(count: int) -> int:
-    """lcm(1, 3, 5, ..., 2*count - 1); 1 when count is 0."""
-    return lcm(*range(1, 2 * count, 2))
-
-
 def inner_product(p: Poly, q: Poly) -> Fraction:
     """Integral of p*q over [-1, 1] by exact term-wise monomial integration.
 
@@ -419,7 +424,7 @@ def inner_product(p: Poly, q: Poly) -> Fraction:
     """
     prod = p * q
     nums = prod._nums
-    big_l = _odd_lcm((len(nums) + 1) // 2)
+    big_l = lcm(*range(1, len(nums) + 1, 2))
     total = sum(c * (2 * big_l // (s + 1)) for s, c in enumerate(nums) if c and s % 2 == 0)
     return Fraction(total, big_l * prod._den)
 
@@ -435,24 +440,30 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
         c_m = (2m+1) * sum_j R_m[j] M_j / (2^m D L).
 
     i+j+1 is odd, so the n+1 weights L/d, d = 1, 3, ..., 2n+1, are divided
-    out once. Deliberately walks every degree 0 ... n, so vanishing
+    out once. Deliberately sums every degree 0 ... n, so vanishing
     coefficients are computed, not assumed; this keeps the projection usable
     as an independent check on any coefficient formula. O(n^2) products.
+    Up to BONNET_CACHE_SIZE rows are read from `_bonnet_table`, not walked
+    again per call, and the nonzero c_m become the series as they are.
     """
+    global _bonnet_table
     if p.is_zero:
         return LegendreSeries()
     nums, den = p._nums, p._den
     size = len(nums)
-    big_l = _odd_lcm(size)
+    big_l = lcm(*range(1, 2 * size, 2))
     weights = [big_l // d for d in range(1, 2 * size, 2)]  # entry t is L/(2t+1)
     # M_j pairs N_i, i = j mod 2, j mod 2 + 2, ..., with L/(i+j+1) from t = ceil(j/2) on
     moments = [sum(map(mul, nums[j % 2::2], weights[(j + 1) // 2:])) for j in range(size)]
+    rows = _bonnet_table  # read once, so a table another thread stores meanwhile is not seen
+    if len(rows) < size <= BONNET_CACHE_SIZE:
+        rows = _bonnet_table = tuple(map(tuple, islice(_bonnet_rows(), size)))
     found = []
-    for m, row in zip(range(size), _bonnet_rows()):
+    for m, row in zip(range(size), rows if size <= BONNET_CACHE_SIZE else _bonnet_rows()):
         total = sum(map(mul, row, moments[m::-2]))
         if total:
             found.append((m, Fraction((2 * m + 1) * total, 2 ** m * den * big_l)))
-    return LegendreSeries(found)
+    return LegendreSeries._of(found)
 
 
 def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:

@@ -16,7 +16,9 @@ The eq9/eq13 reconstruction, the substitution x = 1 - 2z and the row sums
 behind the surplus rows and the binomial sum behind the derivation replay
 run in Python integers over one common denominator (the surplus rows
 compare by cross-multiplying); a Fraction is built per output coefficient
-or counterexample entry only.
+or counterexample entry only. Work that depends on n alone (eq9/eq13's
+basis, the projection's Bonnet rows) is shared by every lambda, and the
+replay sums only the binomial terms that D^n keeps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .derivatives import (
     deriv_expand_triangular,
 )
 from .polynomials import (
+    LegendreSeries,
     Poly,
     _combination,
     differentiate,
@@ -126,14 +129,11 @@ class VerificationReport(Record):
         }
 
 
-def _dump(p: Poly, width: int) -> Tuple[str, ...]:
-    """Monomial coefficients as strings, zero-padded to a common width."""
-    return tuple(format_rational(p.coefficient(m)) for m in range(width))
-
-
 def _poly_mismatch(params: Dict[str, object], claimed: Poly, target: Poly) -> Counterexample:
+    """Both sides' monomial coefficients as strings, zero-padded to a common width."""
     width = max(len(claimed.coeffs), len(target.coeffs), 1)
-    return Counterexample(params, _dump(claimed, width), _dump(target, width))
+    lhs, rhs = (tuple(format_rational(p.coefficient(m)) for m in range(width)) for p in (claimed, target))
+    return Counterexample(params, lhs, rhs)
 
 
 def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
@@ -220,11 +220,12 @@ def verify_scaling_identity(
             return _poly_mismatch(params, rebuilt, target)
         if legendre:
             projected = project_to_legendre(target)
-            claimed = {part.degree: c for c, part in zip(expansion.coeffs, parts) if c != 0}
-            if claimed != projected.terms:
+            pairs = zip(expansion.coeffs[::-1], parts[::-1])  # parts[k] is P_(n-2k): degrees ascend
+            claimed = LegendreSeries._of((part.degree, c) for c, part in pairs if c)
+            if claimed != projected:
                 return Counterexample(
                     {**params, "check": "projection"},
-                    tuple(format_rational(claimed.get(m, Fraction(0))) for m in range(n + 1)),
+                    tuple(format_rational(claimed.coefficient(m)) for m in range(n + 1)),
                     tuple(format_rational(projected.coefficient(m)) for m in range(n + 1)),
                 )
         return None
@@ -350,14 +351,16 @@ def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
 def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
     """P_n(lam*x) rebuilt by replaying its generating construction.
 
-    Expand ((x^2-1) + (lam^2-1)/lam^2)^n binomially, differentiate the sum n
-    times term by term, then apply the lam^n / (2^n n!) prefactor. lam = 0
-    is rejected: this route divides by lam^2, unlike the coefficient
-    formulas, which stay valid there.
+    Expand ((x^2-1) + (lam^2-1)/lam^2)^n binomially, scale the sum by the
+    lam^n / (2^n n!) prefactor and differentiate it n times term by term.
+    lam = 0 is rejected: this route divides by lam^2, unlike the
+    coefficient formulas, which stay valid there.
 
     With lam = p/q the sum times p^(2n) has the integer terms
-    C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and (x^2-1)^(k+1) is
-    x^2 (x^2-1)^k - (x^2-1)^k, a shift by two places and a subtraction.
+    C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and with the prefactor they
+    stand over p^n q^n 2^n n!. D^n keeps only their x^(2j) with 2j >= n, so
+    k starts at ceil(n/2) and j steps down from k by the exact ratio
+    C(k,j-1) = C(k,j) j / (k-j+1), the sign alternating.
     """
     factor = as_rational(lam)
     if factor == 0:
@@ -366,18 +369,14 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
         raise ValueError("degree must be >= 0")
     p, q = factor.numerator, factor.denominator
     shift = p * p - q * q
-    power = [1]  # numerators of (x^2-1)^k, ascending in x
-    p_power = 1  # p^(2k)
+    half = (n + 1) // 2  # the least j with 2j >= n
     acc = [0] * (2 * n + 1)
-    for k in range(n + 1):
-        if k:
-            power = [a - b for a, b in zip([0, 0] + power, power + [0, 0])]
-        weight = comb(n, k) * shift ** (n - k) * p_power
-        for m, c in enumerate(power):
-            acc[m] += weight * c
-        p_power *= p * p
-    summed = Poly.from_integer_form(acc, p ** (2 * n))
-    return (factor ** n / (Fraction(2) ** n * factorial(n))) * differentiate(summed, n)
+    for k in range(half, n + 1):
+        c = comb(n, k) * shift ** (n - k) * p ** (2 * k)  # times (-1)^(k-j) C(k,j) at j = k
+        for j in range(k, half - 1, -1):
+            acc[2 * j] += c
+            c = -c * j // (k - j + 1)
+    return differentiate(Poly.from_integer_form(acc, p ** n * (2 * q) ** n * factorial(n)), n)
 
 
 def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS) -> VerificationReport:

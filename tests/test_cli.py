@@ -244,6 +244,32 @@ class TestVerify:
             "replay                  pass  546 cases",
         ]
 
+    def test_projection_rows_are_not_walked_per_lambda(self, capsys, monkeypatch):
+        # The projection reads its Bonnet rows from one shared table, so the
+        # walks of `_bonnet_rows` depend on n_max alone, not on how many
+        # lambdas are swept at each n.
+        real = legscale.polynomials._bonnet_rows
+
+        def walks_for(*lambda_args):
+            walks = []
+
+            def counting():
+                walks.append(1)
+                return real()
+
+            for module in (legscale.polynomials, legscale.scaling, legscale.cli, legscale.verify):
+                if hasattr(module, "_bonnet_rows"):
+                    monkeypatch.setattr(module, "_bonnet_rows", counting)
+            monkeypatch.setattr(legscale.polynomials, "_bonnet_table", ())
+            code, out, err = run_cli(capsys, "verify", "eq13", "--n-max", "12", *lambda_args)
+            assert code == 0 and json.loads(out)["status"] == "pass", err
+            return len(walks), err
+
+        many, err = walks_for("--seed", "1")
+        assert err == "eq13                    pass  351 cases\n"  # 27 lambdas, n <= 12
+        one, _ = walks_for("--lambda", "7/3")
+        assert many == one
+
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")
         assert code == 0
@@ -866,6 +892,10 @@ GOLDEN_STDOUT = {
         "cca3be049384600b0bb6cb73ff16e08a8530ff664de695d65b36bd1ce0f4aa1b",
     ("table", "b", "--n-max", "40", "--lambda", "1/" + "9" * 99):
         "36e7d5ab9bab68aae919dc86886a8e2c0700fa5e9d90070dc366adc09a9cc3d9",
+    # the benchmark's size, recorded before the projection read shared Bonnet
+    # rows and the replay dropped the terms D^n annihilates
+    ("verify", "all", "--n-max", "20", "--seed", "1"):
+        "e1ec2594249f8d9b5442d11a08895d70f68240145f4f982a2584783bc30b4fa8",
 }
 
 

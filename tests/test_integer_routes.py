@@ -331,9 +331,13 @@ def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
         )
 
 
-@pytest.mark.parametrize("lam", [Fraction(s) for s in ("1", "-1", "2", "-3/5", "7/3")], ids=str)
+@pytest.mark.parametrize("lam", [
+    Fraction(s) for s in ("1", "-1", "2", "1/2", "-3/5", "7/3", "-17/7", "-123456789011/987654321097")
+], ids=str)
 def test_replay_matches_poly_products(lam):
-    for n in range(13):
+    # The replay sums only the terms of degree >= n, which D^n keeps; the
+    # reference sums the whole binomial expansion.
+    for n in range(41):
         assert replay_rodrigues_derivation(lam, n) == ref_replay(lam, n), n
 
 

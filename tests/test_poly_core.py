@@ -6,6 +6,8 @@ Bonnet rows and moment projection against the Fraction oracles they
 replaced.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from math import lcm
 
@@ -23,6 +25,7 @@ from legscale import (
     scale_argument,
     to_poly,
 )
+from legscale import polynomials
 from legscale.polynomials import BONNET_CACHE_SIZE
 
 rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
@@ -232,9 +235,42 @@ def test_projection_of_scaled_targets_matches_oracle(lam):
 
 
 def test_projection_of_high_degree_bonnet_polynomials():
-    for n in (60, 61):
+    # 128 rows R_0 ... R_127 fit the shared row table; degree 128 needs 129
+    # rows, so it and 129 are projected from a walk of their own.
+    for n in (60, 61, 127, 128, 129):
         assert project_to_legendre(legendre_bonnet(n)).terms == {n: 1}
         assert project_to_legendre(legendre_bonnet(n)) == projection_oracle(legendre_bonnet(n))
+        assert len(polynomials._bonnet_table) <= BONNET_CACHE_SIZE
+    assert len(polynomials._bonnet_table) == BONNET_CACHE_SIZE  # filled at degree 127
+
+
+def test_projections_in_threads_see_whole_row_tables(monkeypatch):
+    # Threads that grow the shared row table to different sizes at once must
+    # each read rows up to their own degree: a thread that stores a shorter
+    # table must not shorten the rows another thread is reading. Each round
+    # starts from an empty table, and the threads climb the even or the odd
+    # degrees, so the table grows while they read it.
+    wrong = []
+
+    def work(parity):
+        for n in range(parity, 48, 2):
+            if project_to_legendre(legendre_bonnet(n)).terms != {n: 1}:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(polynomials, "_bonnet_table", ())
+            threads = [threading.Thread(target=work, args=(parity,)) for parity in (0, 1, 0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 # --- Bonnet rows ---
