@@ -19,8 +19,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("rationals", (
-            "Rational", "as_rational", "parse_rational", "format_rational",
-            "falling_factorial", "rising_factorial", "binomial",
+            "as_rational", "parse_rational", "format_rational", "falling_factorial",
+            "rising_factorial", "binomial",
         )),
         ("polynomials", (
             "Poly", "LegendreSeries", "legendre_bonnet", "legendre_rodrigues", "legendre_murphy",

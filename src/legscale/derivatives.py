@@ -20,8 +20,8 @@ Four independent routes produce the same alpha set:
 The closed form is the production route; the other three verify it. Its
 integer kernel has one owner, `scaling._doha_alphas`, which
 `deriv_expand_closed` wraps and `scaling` composes into the Legendre form.
-All four run in Python integers over one common denominator per value and
-build one Fraction per output alpha.
+All four run in Python integers, the triangular solve over 2^k and the
+others in plain ints, and build one Fraction per output alpha.
 
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm, perm
+from math import comb, perm
 from typing import List, Tuple, Union
 
 from .polynomials import LegendreSeries
-from .rationals import Record, format_rational, parse_rational
+from .rationals import Record, _parse_index, format_rational, parse_rational
 from .scaling import _doha_alphas
 
 __all__ = [
@@ -103,8 +103,8 @@ class DerivExpansion(Record):
 
     @classmethod
     def from_json(cls, data) -> "DerivExpansion":
-        n, k = int(data["n"]), int(data["k"])
-        by_degree = {int(m): parse_rational(c) for m, c in data["alphas"].items()}
+        n, k = _parse_index(data["n"]), _parse_index(data["k"])
+        by_degree = {_parse_index(m): parse_rational(c) for m, c in data["alphas"].items()}
         degrees = range(n - k, -1, -2)  # n-k, n-k-2, ..., 0 or 1; empty when k > n
         stray = [m for m in by_degree if m not in degrees]
         if stray:
@@ -230,20 +230,19 @@ def alpha_closed_recurrence(n: int, k: int, i: int) -> Fraction:
         raise ValueError("recurrence defined for k <= n")
     if not 0 <= i <= (n - k) // 2:
         raise ValueError(f"index i must lie in 0 ... {(n - k) // 2}")
-    return _alpha_values(n, k, i)[i]
+    return Fraction(_alpha_values(n, k, i)[i])
 
 
-def _alpha_values(n: int, k: int, top_i: int) -> List[Fraction]:
-    """Alphas for depths 0 ... top_i; the running list is the memo.
+def _alpha_values(n: int, k: int, top_i: int) -> List[int]:
+    """Alphas for depths 0 ... top_i, as ints; the running list is the memo.
 
     With O(a, c) = prod_{t<c} (2a-1-2t), the half-integer falling factorial
-    (a-1/2)^(c_) is O(a, c) / 2^c, so the lead term is the integer ratio
+    (a-1/2)^(c_) is O(a, c) / 2^c, so the lead term is the ratio
 
         lead_i = 2^i O(n,k) (n-i)^(i_) O(n-k,2i) / ((2i)! O(n,i)),
 
-    whose odd products and factorial are updated from one depth to the
-    next. The correction sums the earlier alphas over their common
-    denominator, so each alpha is one Fraction.
+    its products updated from one depth to the next. Every alpha and so the
+    correction is an integer (Doha), so a remainder means a wrong factor.
     """
     odd_nk = 1  # O(n, k)
     for t in range(k):
@@ -251,16 +250,13 @@ def _alpha_values(n: int, k: int, top_i: int) -> List[Fraction]:
     odd_lower = 1  # O(n-k, 2i)
     odd_n = 1  # O(n, i)
     even_fact = 1  # (2i)!
-    values: List[Fraction] = []
+    values: List[int] = []
     for i in range(top_i + 1):
-        lead_num = 2 ** i * odd_nk * perm(n - i, i) * odd_lower
-        lead_den = even_fact * odd_n
-        den = lcm(*(v.denominator for v in values))
-        correction = sum(
-            comb(2 * (n - k - i - l), 2 * (i - l)) * v.numerator * (den // v.denominator)
-            for l, v in enumerate(values)
-        )
-        values.append(Fraction(lead_num * den - correction * lead_den, lead_den * den))
+        lead, rem = divmod(2 ** i * odd_nk * perm(n - i, i) * odd_lower, even_fact * odd_n)
+        if rem:
+            raise ArithmeticError(f"inexact lead term {i} for (n, k) = ({n}, {k})")
+        correction = sum(comb(2 * (n - k - i - l), 2 * (i - l)) * v for l, v in enumerate(values))
+        values.append(lead - correction)
         odd_lower *= (2 * (n - k) - 1 - 4 * i) * (2 * (n - k) - 3 - 4 * i)
         odd_n *= 2 * n - 1 - 2 * i
         even_fact *= (2 * i + 1) * (2 * i + 2)
@@ -272,7 +268,7 @@ def deriv_expand_recurrence(n: int, k: int) -> DerivExpansion:
     _check_orders(n, k)
     if k > n:
         return DerivExpansion(n, k, ())
-    return DerivExpansion(n, k, tuple(_alpha_values(n, k, (n - k) // 2)))
+    return DerivExpansion(n, k, tuple(map(Fraction, _alpha_values(n, k, (n - k) // 2))))
 
 
 def deriv_expand_closed(n: int, k: int) -> DerivExpansion:

@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .rationals import RationalLike, as_rational, format_rational, parse_rational
+from .rationals import RationalLike, _parse_index, as_rational, format_rational, parse_rational
 
 __all__ = [
     "Poly",
@@ -236,7 +236,7 @@ class LegendreSeries:
         data: Dict[int, Fraction] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in pairs:
-            degree = int(m)
+            degree = index(m)
             if degree < 0:
                 raise ValueError("series degrees must be >= 0")
             value = as_rational(c) + data[degree] if degree in data else as_rational(c)
@@ -294,13 +294,10 @@ class LegendreSeries:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LegendreSeries":
-        return cls((int(m), parse_rational(c)) for m, c in data["terms"].items())
+        return cls((_parse_index(m), parse_rational(c)) for m, c in data["terms"].items())
 
 
 BONNET_CACHE_SIZE = 128
-# The first rows of `_bonnet_rows` as tuples, shared by every projection,
-# never past BONNET_CACHE_SIZE rows; a longer table replaces it, never edits it.
-_bonnet_table: Tuple[Tuple[int, ...], ...] = ()
 
 
 def _bonnet_rows() -> Iterator[List[int]]:
@@ -443,10 +440,9 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     out once. Deliberately sums every degree 0 ... n, so vanishing
     coefficients are computed, not assumed; this keeps the projection usable
     as an independent check on any coefficient formula. O(n^2) products.
-    Up to BONNET_CACHE_SIZE rows are read from `_bonnet_table`, not walked
-    again per call, and the nonzero c_m become the series as they are.
+    Up to BONNET_CACHE_SIZE rows, R_m over 2^m is read in lowest terms from the
+    cached `legendre_bonnet(m)`; longer targets walk the rows once.
     """
-    global _bonnet_table
     if p.is_zero:
         return LegendreSeries()
     nums, den = p._nums, p._den
@@ -455,14 +451,16 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     weights = [big_l // d for d in range(1, 2 * size, 2)]  # entry t is L/(2t+1)
     # M_j pairs N_i, i = j mod 2, j mod 2 + 2, ..., with L/(i+j+1) from t = ceil(j/2) on
     moments = [sum(map(mul, nums[j % 2::2], weights[(j + 1) // 2:])) for j in range(size)]
-    rows = _bonnet_table  # read once, so a table another thread stores meanwhile is not seen
-    if len(rows) < size <= BONNET_CACHE_SIZE:
-        rows = _bonnet_table = tuple(map(tuple, islice(_bonnet_rows(), size)))
+    if size <= BONNET_CACHE_SIZE:  # a sweep's targets have put these in the cache
+        bonnet = map(legendre_bonnet, range(size))
+        rows = ((b._nums[m::-2], b._den) for m, b in enumerate(bonnet))
+    else:
+        rows = ((row, 2 ** m) for m, row in enumerate(_bonnet_rows()))
     found = []
-    for m, row in zip(range(size), rows if size <= BONNET_CACHE_SIZE else _bonnet_rows()):
+    for m, (row, row_den) in zip(range(size), rows):
         total = sum(map(mul, row, moments[m::-2]))
         if total:
-            found.append((m, Fraction((2 * m + 1) * total, 2 ** m * den * big_l)))
+            found.append((m, Fraction((2 * m + 1) * total, row_den * den * big_l)))
     return LegendreSeries._of(found)
 
 

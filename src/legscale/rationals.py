@@ -11,13 +11,13 @@ public Fraction helpers because the benchmark's tracer looks them up.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Dict, Union
 
 __all__ = [
     "Record",
-    "Rational",
     "RationalLike",
     "as_rational",
     "parse_rational",
@@ -27,13 +27,11 @@ __all__ = [
     "binomial",
 ]
 
-# The sole scalar type for exact paths.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 # ASCII digits only: `\d` and int() also accept other Unicode digits.
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_INDEX_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,6 +49,16 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(num))
+
+
+def _parse_index(value: Union[int, str]) -> int:
+    """An index from an int, or from text by `parse_rational`'s ASCII-digit
+    rule: int() would also read "1_0" as 10, "\u0663" as 3 and 2.7 as 2."""
+    if not isinstance(value, str):
+        return operator.index(value)
+    if not _INDEX_RE.match(value.strip()):
+        raise ValueError(f"not an integer index: {value!r}")
+    return int(value)
 
 
 def format_rational(value: RationalLike) -> str:

@@ -31,7 +31,7 @@ from itertools import count, islice
 from math import comb, factorial, gcd, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Tuple
 
-from .rationals import RationalLike, Record, as_rational, format_rational, parse_rational
+from .rationals import RationalLike, Record, _parse_index, as_rational, format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .polynomials import Poly
@@ -93,8 +93,8 @@ class ScalingExpansion(Record):
 
     @classmethod
     def from_json(cls, data) -> "ScalingExpansion":
-        n = int(data["n"])
-        raw = {int(k): parse_rational(c) for k, c in data["coeffs"].items()}
+        n = _parse_index(data["n"])
+        raw = {_parse_index(k): parse_rational(c) for k, c in data["coeffs"].items()}
         if any(not 0 <= k <= n // 2 for k in raw):
             raise ValueError(f"coefficient indices must lie in 0 ... {n // 2}")
         coeffs = tuple(raw.get(k, Fraction(0)) for k in range(n // 2 + 1))

@@ -73,6 +73,7 @@ DEFAULT_LAMBDAS: Tuple[Fraction, ...] = tuple(
     Fraction(s) for s in ("0", "1", "-1", "2", "1/2", "-3/5", "7/3")
 )
 NONZERO_LAMBDAS: Tuple[Fraction, ...] = tuple(v for v in DEFAULT_LAMBDAS if v != 0)
+_MAX_NUMERATOR = _MAX_DENOMINATOR = 9  # `random_lambdas` draws p/q, |p| <= 9, 1 <= q <= 9
 
 
 class Counterexample(Record):
@@ -143,37 +144,26 @@ def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     return values
 
 
-# A check takes one case's parameters and returns None or a counterexample.
-_Check = Callable[..., Optional[Counterexample]]
-
-
-def _sweep(cases: Iterable[tuple], check: _Check) -> Tuple[Optional[Counterexample], int]:
-    """The first counterexample `check` returns over `cases`, in sweep order,
-    and the number of cases checked up to it (all of them if none fails)."""
-    count = 0
-    for count, params in enumerate(cases, 1):
-        found = check(*params)
-        if found is not None:
-            return found, count
-    return None, count
-
-
 def _report(
     subject: str,
     n_max: int,
     cases: Iterable[tuple],
-    check: _Check,
+    check: Callable[..., Optional[Counterexample]],
     k_range: Optional[Tuple[int, int]],
     lambdas: Optional[Tuple[Fraction, ...]] = None,
     details: Optional[Dict[str, object]] = None,
 ) -> VerificationReport:
-    """Run `check` over `cases` (n = 0 ... n_max) and report the first failure.
-
-    `details` is read after the sweep, so `check` may record verdicts in it.
+    """Run `check` (one case's parameters -> None or a counterexample) over
+    `cases` (n = 0 ... n_max); report the first failure and the cases checked
+    up to it. `details` is read after the sweep, so `check` may record in it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counterexample, count = _sweep(cases, check)
+    counterexample, count = None, 0
+    for count, params in enumerate(cases, 1):
+        counterexample = check(*params)
+        if counterexample is not None:
+            break
     return VerificationReport(
         subject=subject,
         n_range=(0, n_max),
@@ -398,9 +388,7 @@ def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS)
     return _report("replay", n_max, cases, check, None, values)
 
 
-def random_lambdas(
-    count: int, seed: int, max_numerator: int = 9, max_denominator: int = 9
-) -> Tuple[Fraction, ...]:
+def random_lambdas(count: int, seed: int) -> Tuple[Fraction, ...]:
     """Seeded rational sample for sweep extension; reproducible across runs."""
     import random  # only a seeded sweep needs it
 
@@ -408,6 +396,6 @@ def random_lambdas(
         raise ValueError("count must be >= 0")
     rng = random.Random(seed)
     return tuple(
-        Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
+        Fraction(rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))
         for _ in range(count)
     )

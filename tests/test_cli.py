@@ -245,9 +245,11 @@ class TestVerify:
         ]
 
     def test_projection_rows_are_not_walked_per_lambda(self, capsys, monkeypatch):
-        # The projection reads its Bonnet rows from one shared table, so the
-        # walks of `_bonnet_rows` depend on n_max alone, not on how many
-        # lambdas are swept at each n.
+        # The projection reads its Bonnet rows from `legendre_bonnet`'s
+        # cache, which each case's target has filled, so the walks of
+        # `_bonnet_rows` depend on n_max alone, not on how many lambdas are
+        # swept at each n. From a cold cache, eq13 at n_max 12 walks 26
+        # times: one basis walk and one target miss per n.
         real = legscale.polynomials._bonnet_rows
 
         def walks_for(*lambda_args):
@@ -260,7 +262,7 @@ class TestVerify:
             for module in (legscale.polynomials, legscale.scaling, legscale.cli, legscale.verify):
                 if hasattr(module, "_bonnet_rows"):
                     monkeypatch.setattr(module, "_bonnet_rows", counting)
-            monkeypatch.setattr(legscale.polynomials, "_bonnet_table", ())
+            legendre_bonnet.cache_clear()
             code, out, err = run_cli(capsys, "verify", "eq13", "--n-max", "12", *lambda_args)
             assert code == 0 and json.loads(out)["status"] == "pass", err
             return len(walks), err
@@ -268,7 +270,7 @@ class TestVerify:
         many, err = walks_for("--seed", "1")
         assert err == "eq13                    pass  351 cases\n"  # 27 lambdas, n <= 12
         one, _ = walks_for("--lambda", "7/3")
-        assert many == one
+        assert many == one == 26
 
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")

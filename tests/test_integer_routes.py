@@ -57,6 +57,7 @@ from legscale import (
     verify_surplus_rows,
 )
 from legscale.cli import main
+from legscale.derivatives import _alpha_values
 from legscale.rationals import as_rational, format_rational
 from legscale.polynomials import _bonnet_poly, _bonnet_rows
 from legscale.scaling import _a_rows, _basis_values, _doha_alphas, _ultraspherical
@@ -342,9 +343,13 @@ def test_replay_matches_poly_products(lam):
 
 
 def test_recurrence_matches_half_integer_falling_factorials():
-    for n in range(25):
+    # The route runs in plain ints: every alpha is an integer (Doha), so
+    # each lead term is one exact division.
+    for n in range(61):
         for k in range(n + 1):
-            assert deriv_expand_recurrence(n, k).alphas == ref_recurrence(n, k), (n, k)
+            values = _alpha_values(n, k, (n - k) // 2)
+            assert all(type(v) is int for v in values), (n, k)
+            assert deriv_expand_recurrence(n, k).alphas == ref_recurrence(n, k) == tuple(values), (n, k)
 
 
 def test_telescoping_running_sums_match_the_dict_passes():

@@ -25,7 +25,6 @@ from legscale import (
     scale_argument,
     to_poly,
 )
-from legscale import polynomials
 from legscale.polynomials import BONNET_CACHE_SIZE
 
 rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
@@ -235,21 +234,22 @@ def test_projection_of_scaled_targets_matches_oracle(lam):
 
 
 def test_projection_of_high_degree_bonnet_polynomials():
-    # 128 rows R_0 ... R_127 fit the shared row table; degree 128 needs 129
-    # rows, so it and 129 are projected from a walk of their own.
+    # Degrees up to 127 read their 128 rows R_0 ... R_127 from the bounded
+    # `legendre_bonnet` cache; degree 128 needs 129 rows, so it and 129 are
+    # projected from a walk of their own. The cache stays within its bound.
+    legendre_bonnet.cache_clear()
     for n in (60, 61, 127, 128, 129):
         assert project_to_legendre(legendre_bonnet(n)).terms == {n: 1}
         assert project_to_legendre(legendre_bonnet(n)) == projection_oracle(legendre_bonnet(n))
-        assert len(polynomials._bonnet_table) <= BONNET_CACHE_SIZE
-    assert len(polynomials._bonnet_table) == BONNET_CACHE_SIZE  # filled at degree 127
+        assert legendre_bonnet.cache_info().currsize <= BONNET_CACHE_SIZE
+    assert legendre_bonnet.cache_info().currsize == BONNET_CACHE_SIZE  # filled at degree 127
 
 
-def test_projections_in_threads_see_whole_row_tables(monkeypatch):
-    # Threads that grow the shared row table to different sizes at once must
-    # each read rows up to their own degree: a thread that stores a shorter
-    # table must not shorten the rows another thread is reading. Each round
-    # starts from an empty table, and the threads climb the even or the odd
-    # degrees, so the table grows while they read it.
+def test_projections_in_threads_see_whole_row_tables():
+    # Threads that fill the Bonnet cache with different degrees at once must
+    # each read the rows up to their own degree. Each round starts from an
+    # empty cache, and the threads climb the even or the odd degrees, so the
+    # cache fills while they read it.
     wrong = []
 
     def work(parity):
@@ -261,7 +261,7 @@ def test_projections_in_threads_see_whole_row_tables(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            monkeypatch.setattr(polynomials, "_bonnet_table", ())
+            legendre_bonnet.cache_clear()
             threads = [threading.Thread(target=work, args=(parity,)) for parity in (0, 1, 0, 1)]
             for t in threads:
                 t.start()

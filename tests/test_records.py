@@ -13,6 +13,7 @@ from legscale import (
     FORM_LEGENDRE,
     Counterexample,
     DerivExpansion,
+    LegendreSeries,
     ScalingExpansion,
     VerificationReport,
 )
@@ -141,6 +142,53 @@ def test_scaling_from_json_refuses_an_index_outside_the_expansion(coeffs, n):
 def test_deriv_from_json_refuses_a_degree_outside_the_expansion(n, k, alphas):
     with pytest.raises(ValueError):
         DerivExpansion.from_json({"n": n, "k": k, "alphas": alphas})
+
+
+# int() reads "1_0" as 10, the Arabic-Indic "\u0663" and the fullwidth
+# "\uff13" as 3 and 2.7 as 2; the decoders take ASCII digits only, as
+# `parse_rational` does, and an int or digit text, never a float.
+LENIENT_INDICES = ["1_0", "\u0663", "\uff13", "2.5", "", "3/1"]
+
+
+@pytest.mark.parametrize("text", LENIENT_INDICES)
+def test_index_keys_take_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        ScalingExpansion.from_json({"lambda": "2", "n": 20, "form": FORM_LEGENDRE, "coeffs": {text: "1"}})
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": 20, "k": 0, "alphas": {text: "1"}})
+    with pytest.raises(ValueError):
+        LegendreSeries.from_json({"terms": {text: "1"}})
+
+
+@pytest.mark.parametrize("text", LENIENT_INDICES)
+def test_degree_and_order_take_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        ScalingExpansion.from_json({"lambda": "2", "n": text, "form": FORM_LEGENDRE, "coeffs": {}})
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": text, "k": 0, "alphas": {}})
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": 20, "k": text, "alphas": {}})
+
+
+def test_fractional_degrees_are_refused_not_floored():
+    with pytest.raises(TypeError):
+        LegendreSeries({2.7: 1})
+    with pytest.raises(TypeError):
+        ScalingExpansion.from_json({"lambda": "2", "n": 2.7, "form": FORM_LEGENDRE, "coeffs": {}})
+    with pytest.raises(TypeError):
+        DerivExpansion.from_json({"n": 3, "k": 1.0, "alphas": {}})
+
+
+def test_index_text_in_ascii_digits_is_read():
+    # Signed and padded ASCII digits read as int() reads them; the shape
+    # checks then judge the value.
+    assert ScalingExpansion.from_json(
+        {"lambda": "2", "n": " 4", "form": FORM_LEGENDRE, "coeffs": {"+2": "3"}}
+    ).coeffs == (0, 0, 3)
+    assert DerivExpansion.from_json({"n": "4", "k": "1", "alphas": {"03": "5"}}).alphas == (5, 0)
+    assert LegendreSeries.from_json({"terms": {"2": "1", "0": "-1"}}).terms == {0: -1, 2: 1}
+    with pytest.raises(ValueError):
+        DerivExpansion.from_json({"n": 3, "k": 1, "alphas": {"-0": "1", "-2": "1"}})
 
 
 def test_from_json_fills_absent_entries_with_zero():
