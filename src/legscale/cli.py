@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import _parse_index, format_rational, parse_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
@@ -72,13 +72,10 @@ def format_decimal(value: Fraction, digits: int) -> str:
 
 
 def _ascii_int(text: str) -> int:
-    """int() for ASCII text without "_", so "\u0663" is refused instead of
-    read as 3 and "1_0" instead of read as 10, as `parse_rational` refuses them."""
+    """An integer flag by `rationals._parse_index`; non-ASCII text gets its own message."""
     if not text.isascii():
         raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
-    if "_" in text:
-        raise ValueError(text)  # argparse's message, as for any text int() refuses
-    return int(text)
+    return _parse_index(text)  # a ValueError gets argparse's message
 
 
 def _nonneg_int(text: str) -> int:

@@ -18,10 +18,11 @@ Four independent routes produce the same alpha set:
       alpha_m = (2m+1) * C(k+i-1, i) * prod_{t=0}^{k-2} (2(n-k-i) + 3 + 2t).
 
 The closed form is the production route; the other three verify it. Its
-integer kernel has one owner, `scaling._doha_alphas`, which
-`deriv_expand_closed` wraps and `scaling` composes into the Legendre form.
-All four run in Python integers, the triangular solve over 2^k and the
-others in plain ints, and build one Fraction per output alpha.
+integer kernel has one owner, `scaling._doha_alphas`, which `scaling` also
+composes into the Legendre form. The routes' integer cores, `_telescoping`,
+`_triangular` (2^k times the alphas), `_alpha_values` and `_doha_alphas`,
+return int lists that `verify` compares directly; the four `deriv_expand_*`
+functions wrap them and build one Fraction per output alpha.
 
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, perm
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .polynomials import LegendreSeries
 from .rationals import Record, _parse_index, format_rational, parse_rational
@@ -117,22 +118,24 @@ def _check_orders(n: int, k: int) -> None:
         raise ValueError("degree and order must be >= 0")
 
 
-def deriv_expand_telescoping(n: int, k: int) -> DerivExpansion:
-    """Expand d^k P_n by applying the single-derivative rewrite k times.
+def _telescoping(n: int, k: int) -> List[int]:
+    """The telescoping core: the alphas of d^k P_n as ints ([] when k > n).
 
     Each pass replaces d/dx P_m with sum over m' = m-1, m-3, ... >= 0 of
-    (2m'+1) P_{m'}, in ints; the degrees of a pass share one parity, so P_t
-    gets (2t+1) times the running sum of c_m over m > t: O(n) per pass.
-    Returns the empty expansion when k > n.
+    (2m'+1) P_{m'}; the degrees of a pass share one parity, so P_t gets
+    (2t+1) times the running sum of c_m over m > t: O(n) per pass.
     """
-    _check_orders(n, k)
-    if k > n:
-        return DerivExpansion(n, k, ())
     alphas = [1] + [0] * (n // 2)  # at P_n, P_{n-2}, ...; k = 0 keeps the computed zeros
     for top in range(n - 1, n - k - 1, -1):  # a pass leaves degrees top, top-2, ..., 0 or 1
         running = accumulate(alphas[: top // 2 + 1])
         alphas = [(2 * (top - 2 * i) + 1) * total for i, total in enumerate(running)]
-    return DerivExpansion(n, k, tuple(map(Fraction, alphas)))
+    return alphas
+
+
+def deriv_expand_telescoping(n: int, k: int) -> DerivExpansion:
+    """Expand d^k P_n by applying the single-derivative rewrite k times (`_telescoping`)."""
+    _check_orders(n, k)
+    return DerivExpansion(n, k, tuple(map(Fraction, _telescoping(n, k) if k <= n else ())))
 
 
 def _murphy_scaled(n: int, k: int) -> List[int]:
@@ -174,8 +177,8 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(t, scale) for t in _murphy_scaled(n, k))
 
 
-def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
-    """Solve the coefficient-matching system in z = (1-x)/2 top-down.
+def _triangular(n: int, k: int) -> List[int]:
+    """The triangular core: 2^k times the alphas of d^k P_n, as ints ([] when k > n).
 
     Row j equates the z^j coefficient of d^k P_n with the z^j coefficient of
     sum_i alpha_i P_{N-2i} (N = n-k). Rows are consumed from j = N downward:
@@ -183,16 +186,12 @@ def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
     odd-offset rows -- redundant by construction -- are kept as consistency
     checks instead of being discarded, so a sign or index slip surfaces here
     rather than downstream. Both sides are scaled by 2^k, so the rows are
-    integers and every unknown 2^k alpha_i stays an int while its division
-    is exact; the 2^k comes off once at the end.
+    integers, and every unknown 2^k alpha_i is an int (Doha): a division
+    that leaves a remainder raises.
     """
-    _check_orders(n, k)
-    if k > n:
-        return DerivExpansion(n, k, ())
     big_n = n - k
-    scale = 2 ** k
     targets = _murphy_scaled(n, k)
-    scaled: List[Union[int, Fraction]] = []  # 2^k alpha_i
+    scaled: List[int] = []  # 2^k alpha_i
     for j in range(big_n, -1, -1):
         offset = big_n - j
         # z^j coefficient of P_m is (-1)^j C(m,j) C(m+j,j), 0 once j > m
@@ -204,13 +203,22 @@ def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
             if pivot == 0:
                 raise DegeneratePivotError(f"vanishing pivot at row {j} for (n, k) = ({n}, {k})")
             quotient, rem = divmod(targets[j] - acc, pivot)
-            scaled.append(Fraction(targets[j] - acc, pivot) if rem else quotient)
+            if rem:
+                raise ArithmeticError(f"inexact unknown {offset // 2} for (n, k) = ({n}, {k})")
+            scaled.append(quotient)
         elif acc != targets[j]:
             raise ArithmeticError(
                 f"redundant row {j} violated for (n, k) = ({n}, {k}): "
-                f"{Fraction(acc, scale)} != {Fraction(targets[j], scale)}"
+                f"{Fraction(acc, 2 ** k)} != {Fraction(targets[j], 2 ** k)}"
             )
-    return DerivExpansion(n, k, tuple(Fraction(beta, scale) for beta in scaled))
+    return scaled
+
+
+def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
+    """Solve the coefficient-matching system in z = (1-x)/2 (`_triangular`)."""
+    _check_orders(n, k)
+    scaled = _triangular(n, k) if k <= n else ()
+    return DerivExpansion(n, k, tuple(Fraction(beta, 2 ** k) for beta in scaled))
 
 
 def alpha_closed_recurrence(n: int, k: int, i: int) -> Fraction:
@@ -264,16 +272,12 @@ def _alpha_values(n: int, k: int, top_i: int) -> List[int]:
 
 
 def deriv_expand_recurrence(n: int, k: int) -> DerivExpansion:
-    """Full expansion assembled from the closed recurrence."""
+    """Full expansion assembled from the closed recurrence (`_alpha_values`)."""
     _check_orders(n, k)
-    if k > n:
-        return DerivExpansion(n, k, ())
-    return DerivExpansion(n, k, tuple(map(Fraction, _alpha_values(n, k, (n - k) // 2))))
+    return DerivExpansion(n, k, tuple(map(Fraction, _alpha_values(n, k, (n - k) // 2) if k <= n else ())))
 
 
 def deriv_expand_closed(n: int, k: int) -> DerivExpansion:
     """Full expansion from Doha's closed form (`scaling._doha_alphas`)."""
     _check_orders(n, k)
-    if k > n:
-        return DerivExpansion(n, k, ())
-    return DerivExpansion(n, k, tuple(Fraction(a) for a in _doha_alphas(n, k)))
+    return DerivExpansion(n, k, tuple(map(Fraction, _doha_alphas(n, k) if k <= n else ())))

@@ -426,8 +426,9 @@ def inner_product(p: Poly, q: Poly) -> Fraction:
     return Fraction(total, big_l * prod._den)
 
 
-def project_to_legendre(p: Poly) -> LegendreSeries:
-    """Legendre coefficients by exact integration: c_m = (2m+1)/2 * <p, P_m>.
+def _projection(p: Poly) -> List[Tuple[int, int, int]]:
+    """The integer core of `project_to_legendre`: (m, numerator, denominator),
+    unreduced, for each degree m whose coefficient is nonzero, ascending.
 
     With p = sum_i N_i x^i / D of degree n, L = lcm(1, 3, ..., 2n+1) and the
     integer moments M_j = sum_{i = j mod 2} N_i * L / (i+j+1), so that
@@ -443,8 +444,6 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     Up to BONNET_CACHE_SIZE rows, R_m over 2^m is read in lowest terms from the
     cached `legendre_bonnet(m)`; longer targets walk the rows once.
     """
-    if p.is_zero:
-        return LegendreSeries()
     nums, den = p._nums, p._den
     size = len(nums)
     big_l = lcm(*range(1, 2 * size, 2))
@@ -460,21 +459,25 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     for m, (row, row_den) in zip(range(size), rows):
         total = sum(map(mul, row, moments[m::-2]))
         if total:
-            found.append((m, Fraction((2 * m + 1) * total, row_den * den * big_l)))
-    return LegendreSeries._of(found)
+            found.append((m, (2 * m + 1) * total, row_den * den * big_l))
+    return found
 
 
-def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:
-    """sum_k coeffs[k] * parts[k], summed in ints over one common denominator.
+def project_to_legendre(p: Poly) -> LegendreSeries:
+    """Legendre coefficients by exact integration: c_m = (2m+1)/2 * <p, P_m>,
+    one Fraction per nonzero coefficient of `_projection`."""
+    return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p))
 
-    With coeffs[k] = p_k/q_k and parts[k] = N_k/D_k, term k is
-    p_k N_k / (q_k D_k); every term is brought to the lcm of the q_k D_k
-    and one Poly is normalised at the end. Zero weights are skipped.
+
+def _combination(weights: Iterable[Tuple[int, int]], parts: Sequence[Poly]) -> Poly:
+    """sum_k (p_k/q_k) * parts[k] for weights (p_k, q_k) of ints, q_k > 0 and
+    not necessarily reduced, summed in ints over one common denominator.
+
+    With parts[k] = N_k/D_k, term k is p_k N_k / (q_k D_k); every term is
+    brought to the lcm of the q_k D_k and one Poly is normalised at the end.
+    Zero weights are skipped.
     """
-    terms = []
-    for c, part in zip(coeffs, parts):
-        if c:
-            terms.append((c.numerator, c.denominator * part._den, part._nums))
+    terms = [(p, q * part._den, part._nums) for (p, q), part in zip(weights, parts) if p]
     common = lcm(*(den for _, den, _ in terms))
     acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
     for p, den, nums in terms:
@@ -487,5 +490,6 @@ def _combination(coeffs: Sequence[Fraction], parts: Sequence[Poly]) -> Poly:
 def to_poly(series: LegendreSeries) -> Poly:
     """Rebuild sum_m c_m * P_m as a dense polynomial (one integer combination)."""
     return _combination(
-        [c for _, c in series.items()], [legendre_bonnet(m) for m in series.degrees()]
+        [(c.numerator, c.denominator) for _, c in series.items()],
+        [legendre_bonnet(m) for m in series.degrees()],
     )

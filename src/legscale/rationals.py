@@ -31,7 +31,6 @@ RationalLike = Union[Fraction, int, str]
 
 # ASCII digits only: `\d` and int() also accept other Unicode digits.
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
-_INDEX_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -44,19 +43,17 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = s.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def _parse_index(value: Union[int, str]) -> int:
-    """An index from an int, or from text by `parse_rational`'s ASCII-digit
-    rule: int() would also read "1_0" as 10, "\u0663" as 3 and 2.7 as 2."""
+    """An index from an int, or from text by `parse_rational`'s ASCII-digit rule,
+    which `cli`'s integer flags read too: int() reads "1_0", "\u0663", 2.7 as 10, 3, 2."""
     if not isinstance(value, str):
         return operator.index(value)
-    if not _INDEX_RE.match(value.strip()):
+    if "/" in value or not _RATIONAL_RE.match(value.strip()):
         raise ValueError(f"not an integer index: {value!r}")
     return int(value)
 

@@ -16,7 +16,8 @@ it), whose integer kernel has one owner, `_doha_alphas` here:
 
 for k >= 1. With lam = p/q, m = n-2k, u = p^2, v = p^2-q^2 and
 w_i = 2^i k!/(k-i)! alpha_nki(n, k, i), b_k = p^m S_k / (q^n 2^k k!) with
-the integer Horner sum S_k = sum_{i<k} w_i u^i v^(k-i) (`_legendre_form`).
+the integer Horner sum S_k = sum_{i<k} w_i u^i v^(k-i). The public functions
+wrap the integer cores `_derivative_form` and `_legendre_form`, read by `verify`.
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
@@ -168,21 +169,29 @@ def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:
         yield row
 
 
-def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
-    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2): with
-    lam = p/q, a_k = p^(n-2k) (p^2-q^2)^k / (q^n 2^k k!), the power of
-    p^2-q^2 and the denominator carried from one k to the next."""
+def _derivative_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int]]:
+    """Integer core of the derivative form at lam = p/q: a_k as the unreduced
+    pair (p^(n-2k) (p^2-q^2)^k, q^n 2^k k!) for k = 0 ... floor(n/2)."""
+    shift_power, den = 1, q ** n
+    for k in range(n // 2 + 1):
+        yield p ** (n - 2 * k) * shift_power, den
+        shift_power *= p * p - q * q
+        den *= 2 * (k + 1)
+
+
+def _expansion(lam: RationalLike, n: int, form: str, column: int) -> ScalingExpansion:
+    """coeffs[k] = row[column] / row[-1] for row k of the integer core of `form`."""
     factor = as_rational(lam)
     if n < 0:
         raise ValueError("degree must be >= 0")
-    p, q = factor.numerator, factor.denominator
-    shift_power, den = 1, q ** n  # (p^2-q^2)^k, q^n 2^k k!
-    coeffs = []
-    for k in range(n // 2 + 1):
-        coeffs.append(Fraction(p ** (n - 2 * k) * shift_power, den))
-        shift_power *= p * p - q * q
-        den *= 2 * (k + 1)
-    return ScalingExpansion(factor, n, FORM_DERIVATIVE, tuple(coeffs))
+    core = _derivative_form if form == FORM_DERIVATIVE else _legendre_form
+    rows = core(factor.numerator, factor.denominator, n)
+    return ScalingExpansion(factor, n, form, tuple(Fraction(row[column], row[-1]) for row in rows))
+
+
+def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
+    """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
+    return _expansion(lam, n, FORM_DERIVATIVE, 0)
 
 
 def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
@@ -191,7 +200,7 @@ def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
 
 
 def _doha_alphas(n: int, k: int) -> List[int]:
-    """Doha's closed form (see `derivatives`) for 0 <= k <= n: the Legendre
+    """Doha's closed form (see `derivatives`), [] when k > n: the Legendre
     coefficients of d^k P_n as ints, entry i at P_{n-k-2i}. The odd-factor
     product for depth i+1 is the one for depth i times 2(n-k-i)+1, divided
     exactly by 2(n-i)-1. At k = 0 the entries past i = 0 are computed as
@@ -226,23 +235,20 @@ def alpha_nki(n: int, k: int, i: int) -> Fraction:
     return Fraction(_doha_alphas(n - k + i, k - i)[i])
 
 
-def _legendre_form(lam: RationalLike, n: int, untruncated: bool) -> ScalingExpansion:
-    """b_k = p^m S_k / (q^n 2^k k!), S_k by Horner in u from i = k-1 down:
-    w_{k-1} = 2^(k-1) k! (2m+1) and w_{i-1} = w_i i (2m+2i+1) / (2(k-i+1)(k-i)),
-    exact, or the step is wrong and raises. The untruncated sum adds the
-    i = k term, whose weight 2^k k! (2m+1) C(k-1, k) is a computed zero."""
-    factor = as_rational(lam)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    p, q = factor.numerator, factor.denominator
+def _legendre_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int, int]]:
+    """Integer core of the legendre form at lam = p/q: for each k, the truncated
+    and untruncated numerators p^m S_k over q^n 2^k k!. S_k is a Horner sum in u
+    from i = k-1 down, w_{k-1} = 2^(k-1) k! (2m+1), w_{i-1} = w_i i (2m+2i+1) /
+    (2(k-i+1)(k-i)) exact or raising. The untruncated sum adds w_k u^k, whose
+    weight w_k = 2 w_{k-1} C(k-1, k) is a computed zero."""
     u, v = p * p, p * p - q * q
     den = q ** n  # q^n 2^k k!
-    coeffs = [Fraction(p ** n, den)]  # b_0 = a_0 = lam^n
+    yield p ** n, p ** n, den  # b_0 = a_0 = lam^n
     for k in range(1, n // 2 + 1):
         m = n - 2 * k
         den *= 2 * k
         w = 2 ** (k - 1) * factorial(k) * (2 * m + 1)  # w_{k-1}
-        total, v_power = (2 * w * comb(k - 1, k) if untruncated else 0), 1
+        extra, total, v_power = 2 * w * comb(k - 1, k), 0, 1  # extra = w_k
         for i in range(k - 1, -1, -1):
             v_power *= v
             total = total * u + w * v_power
@@ -250,20 +256,20 @@ def _legendre_form(lam: RationalLike, n: int, untruncated: bool) -> ScalingExpan
                 w, rem = divmod(w * i * (2 * m + 2 * i + 1), 2 * (k - i + 1) * (k - i))
                 if rem:
                     raise ArithmeticError(f"inexact Horner weight {i - 1} for (n, k) = ({n}, {k})")
-        coeffs.append(Fraction(p ** m * total, den))
-    return ScalingExpansion(factor, n, FORM_LEGENDRE, tuple(coeffs))
+        num = p ** m * total
+        yield num, num + p ** m * extra * u ** k if extra else num, den
 
 
 def expand_legendre_form(lam: RationalLike, n: int) -> ScalingExpansion:
     """All legendre-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
-    return _legendre_form(lam, n, untruncated=False)
+    return _expansion(lam, n, FORM_LEGENDRE, 0)
 
 
 def expand_legendre_form_untruncated(lam: RationalLike, n: int) -> ScalingExpansion:
     """Legendre-form weights summing depths i = 0 ... k. The extra term's
     weight alpha_nki(n, k, k) is a computed 0 for k >= 1, so the two forms
     must agree; the test suite compares them rather than assuming it."""
-    return _legendre_form(lam, n, untruncated=True)
+    return _expansion(lam, n, FORM_LEGENDRE, 1)
 
 
 def b_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:

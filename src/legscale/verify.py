@@ -5,52 +5,36 @@ machinery (basis construction, formal derivatives, argument scaling, exact
 integrals) and compares it coefficient by coefficient against an
 independently computed target. The scalar coefficient formulas
 (`a_coefficient`, `b_coefficient`, `alpha_*`) are never called here: the
-whole-expansion entry points supply the claims, and the target side is
-built from polynomial primitives alone. Each suite is one check run over
-its cases by a single sweep driver, and the first failing case in sweep
-order is recorded with full coefficient dumps of both sides, since an
-index-convention slip is the likeliest failure and raw dumps localize it
-immediately. The driver counts the cases it checked.
+claims come from the integer cores that the public whole-expansion
+functions wrap (`scaling._derivative_form` and `_legendre_form`,
+`derivatives._telescoping`, `_triangular` and `_alpha_values`,
+`scaling._doha_alphas`), and the target side is built from polynomial
+primitives alone. Each suite is one check run over its cases by a single
+sweep driver, and the first failing case in sweep order is recorded with
+full coefficient dumps of both sides, since an index-convention slip is the
+likeliest failure and raw dumps localize it immediately. The driver counts
+the cases it checked.
 
-The eq9/eq13 reconstruction, the substitution x = 1 - 2z and the row sums
-behind the surplus rows and the binomial sum behind the derivation replay
-run in Python integers over one common denominator (the surplus rows
-compare by cross-multiplying); a Fraction is built per output coefficient
-or counterexample entry only. Work that depends on n alone (eq9/eq13's
-basis, the projection's Bonnet rows) is shared by every lambda, and the
-replay sums only the binomial terms that D^n keeps.
+The checks run in Python integers: the eq9/eq13 reconstruction over one
+common denominator, the projection (`polynomials._projection`) and the
+surplus rows compared by cross-multiplying, the alpha routes as int lists,
+and the replay's binomial sum. A Fraction or a params dict is built only
+for a counterexample, so a passing case builds neither. Work that depends
+on n alone (eq9/eq13's basis, the projection's Bonnet rows) is shared by
+every lambda, and the replay sums only the binomial terms that D^n keeps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .derivatives import (
-    deriv_expand_closed,
-    deriv_expand_recurrence,
-    deriv_expand_telescoping,
-    deriv_expand_triangular,
-)
-from .polynomials import (
-    LegendreSeries,
-    Poly,
-    _combination,
-    differentiate,
-    legendre_bonnet,
-    project_to_legendre,
-    scale_argument,
-    to_poly,
-)
+from .derivatives import _alpha_values, _telescoping, _triangular
+from .polynomials import Poly, _combination, _projection, differentiate, legendre_bonnet, scale_argument
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import (
-    FORM_DERIVATIVE,
-    FORM_LEGENDRE,
-    expand_derivative_form,
-    expand_legendre_form,
-    expand_legendre_form_untruncated,
-    expansion_basis,
+    FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form, expansion_basis
 )
 
 __all__ = [
@@ -197,26 +181,27 @@ def verify_scaling_identity(
     details: Dict[str, object] = {"limit_variants_agree": True} if legendre else {}
 
     def check(n: int, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
+        p, q = lam.numerator, lam.denominator
         target = scale_argument(legendre_bonnet(n), lam)
         if legendre:
-            expansion = expand_legendre_form(lam, n)
-            if expand_legendre_form_untruncated(lam, n).coeffs != expansion.coeffs:
+            rows = list(_legendre_form(p, q, n))
+            if any(truncated != untruncated for truncated, untruncated, _ in rows):
                 details["limit_variants_agree"] = False
+            weights = [(truncated, den) for truncated, _, den in rows]
         else:
-            expansion = expand_derivative_form(lam, n)
-        rebuilt = _combination(expansion.coeffs, parts)
-        params = {"n": n, "lambda": format_rational(lam), "check": "reconstruction"}
+            weights = list(_derivative_form(p, q, n))
+        rebuilt = _combination(weights, parts)
         if rebuilt != target:
-            return _poly_mismatch(params, rebuilt, target)
+            return _poly_mismatch(_lambda_params(n, lam, "reconstruction"), rebuilt, target)
         if legendre:
-            projected = project_to_legendre(target)
-            pairs = zip(expansion.coeffs[::-1], parts[::-1])  # parts[k] is P_(n-2k): degrees ascend
-            claimed = LegendreSeries._of((part.degree, c) for c, part in pairs if c)
-            if claimed != projected:
+            claimed = [(n - 2 * k, num, den) for k, (num, den) in enumerate(weights) if num][::-1]
+            projected = _projection(target)
+            if len(claimed) != len(projected) or any(
+                m != m2 or num * den2 != num2 * den
+                for (m, num, den), (m2, num2, den2) in zip(claimed, projected)
+            ):
                 return Counterexample(
-                    {**params, "check": "projection"},
-                    tuple(format_rational(claimed.coefficient(m)) for m in range(n + 1)),
-                    tuple(format_rational(projected.coefficient(m)) for m in range(n + 1)),
+                    _lambda_params(n, lam, "projection"), _series_dump(claimed, n), _series_dump(projected, n)
                 )
         return None
 
@@ -231,37 +216,48 @@ def verify_scaling_identity(
     return _report(subject, n_max, cases, check, (0, n_max // 2), values, details)
 
 
-def _alphas_dump(expansion) -> Tuple[str, ...]:
-    return tuple(format_rational(a) for a in expansion.alphas)
+def _lambda_params(n: int, lam: Fraction, check: str) -> Dict[str, object]:
+    return {"n": n, "lambda": format_rational(lam), "check": check}
+
+
+def _series_dump(terms: Sequence[Tuple[int, int, int]], n: int) -> Tuple[str, ...]:
+    """Coefficients of P_0 ... P_n from ascending (m, numerator, denominator) terms."""
+    by_degree = {m: Fraction(num, den) for m, num, den in terms}
+    return tuple(format_rational(by_degree.get(m, 0)) for m in range(n + 1))
+
+
+def _alphas_dump(alphas: Sequence[int], den: int = 1) -> Tuple[str, ...]:
+    return tuple(format_rational(Fraction(a, den)) for a in alphas)
 
 
 def verify_derivative_identity(n_max: int) -> VerificationReport:
     """Check all four derivative-expansion routes against formal derivatives.
 
     For every 0 <= k <= n <= n_max the telescoping, triangular,
-    closed-recurrence and closed-form expansions must agree coefficient by
-    coefficient and, rebuilt through the Legendre basis, must equal
-    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there the expansion is
-    empty and the derivative the zero polynomial.
+    closed-recurrence and closed-form cores must agree coefficient by
+    coefficient (the triangular one, which holds 2^k alpha, against 2^k times
+    telescoping) and, rebuilt through the Legendre basis, must equal
+    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there
+    every route is empty and the derivative the zero polynomial.
     """
 
     def check(n: int, k: int) -> Optional[Counterexample]:
-        expected = differentiate(legendre_bonnet(n), k)
-        routes = {
-            "telescoping": deriv_expand_telescoping(n, k),
-            "triangular": deriv_expand_triangular(n, k),
-            "recurrence": deriv_expand_recurrence(n, k),
-            "closed": deriv_expand_closed(n, k),
-        }
-        base = routes["telescoping"]
-        for name, other in routes.items():
-            if other.alphas != base.alphas:
+        tele = _telescoping(n, k)
+        routes = (
+            ("triangular", _triangular(n, k), [a << k for a in tele], 2 ** k),
+            ("recurrence", _alpha_values(n, k, (n - k) // 2), tele, 1),
+            ("closed", _doha_alphas(n, k), tele, 1),
+        )
+        for name, alphas, expected, den in routes:
+            if alphas != expected:
                 return Counterexample(
                     {"n": n, "k": k, "check": f"telescoping-vs-{name}"},
-                    _alphas_dump(base),
-                    _alphas_dump(other),
+                    _alphas_dump(tele),
+                    _alphas_dump(alphas, den),
                 )
-        rebuilt = to_poly(base.to_series())
+        parts = [legendre_bonnet(n - k - 2 * i) for i in range(len(tele))]
+        rebuilt = _combination([(a, 1) for a in tele], parts)
+        expected = differentiate(legendre_bonnet(n), k)
         if rebuilt != expected:
             return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
         return None
@@ -274,10 +270,18 @@ def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
     """Coefficients z^0 ... z^(width-1) of p in powers of z, where x = 1 - 2z,
     as int numerators over one denominator: with p = sum_m N_m x^m / D,
     x^m = sum_j C(m,j) (-2z)^j gives the z^j numerator
-    (-2)^j sum_{m>=j} N_m C(m,j) over D.
+    (-2)^j sum_{m>=j} N_m C(m,j) over D, C(m,j) stepped along m by the exact
+    C(m+1,j) = C(m,j) (m+1) / (m+1-j).
     """
     nums, den = p.integer_form
-    return tuple((-2) ** j * sum(c * comb(m, j) for m, c in enumerate(nums[j:], j)) for j in range(width)), den
+    out = []
+    for j in range(width):
+        total, binom = 0, 1  # C(m, j) at m = j
+        for m in range(j, len(nums)):
+            total += nums[m] * binom
+            binom = binom * (m + 1) // (m + 1 - j)
+        out.append((-2) ** j * total)
+    return tuple(out), den
 
 
 def verify_surplus_rows(n_max: int) -> VerificationReport:
@@ -287,31 +291,32 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     odd-offset rows are over-determined. Here both row sides are rebuilt
     purely by polynomial substitution x = 1 - 2z and the solved alphas must
     satisfy every such surplus row exactly. The z-row of each basis
-    polynomial P_m is substituted once per call. A row's alpha sum is taken
-    over the lcm of the alpha and z-row denominators.
+    polynomial P_m is substituted once per call; its entries are integers,
+    (-1)^j C(m,j) C(m+j,j), so a row's sum stays over the 2^k of the
+    triangular core and is compared by cross-multiplying.
     """
-    z_rows: Dict[int, Tuple[Tuple[int, ...], int]] = {}  # m -> P_m in powers of z, m <= n_max
+    z_rows: Dict[int, Tuple[int, ...]] = {}  # m -> P_m in powers of z, m <= n_max
 
-    def z_row(m: int) -> Tuple[Tuple[int, ...], int]:
+    def z_row(m: int) -> Tuple[int, ...]:
         if m not in z_rows:
-            z_rows[m] = _z_form(legendre_bonnet(m), m + 1)
+            nums, den = _z_form(legendre_bonnet(m), m + 1)
+            if any(c % den for c in nums):
+                raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
+            z_rows[m] = tuple(c // den for c in nums)
         return z_rows[m]
 
     def check(n: int, k: int) -> Optional[Counterexample]:
         big_n = n - k
-        alphas = deriv_expand_triangular(n, k).alphas
+        scaled = _triangular(n, k)  # 2^k alpha_i
         lhs, lhs_den = _z_form(differentiate(legendre_bonnet(n), k), big_n + 1)
-        rows = [z_row(big_n - 2 * i) for i in range(len(alphas))]
-        dens = [a.denominator * den for a, (_, den) in zip(alphas, rows)]
-        common = lcm(*dens)
-        scaled = [(a.numerator * (common // d), row) for a, d, (row, _) in zip(alphas, dens, rows)]
+        rows = [z_row(big_n - 2 * i) for i in range(len(scaled))]
         for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
             # P_m has no z^j term past j = m
-            combined = sum(c * row[j] for c, row in scaled if j < len(row))
-            if combined * lhs_den != lhs[j] * common:
+            combined = sum(c * row[j] for c, row in zip(scaled, rows) if j < len(row))
+            if combined * lhs_den != lhs[j] << k:
                 return Counterexample(
                     {"n": n, "k": k, "row": j, "check": "surplus-row"},
-                    (format_rational(Fraction(combined, common)),),
+                    (format_rational(Fraction(combined, 2 ** k)),),
                     (format_rational(Fraction(lhs[j], lhs_den)),),
                 )
         return None
@@ -324,9 +329,9 @@ def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
     """Cross-check the closed recurrence against the telescoping route."""
 
     def check(n: int, k: int) -> Optional[Counterexample]:
-        tele = deriv_expand_telescoping(n, k)
-        recur = deriv_expand_recurrence(n, k)
-        if tele.alphas != recur.alphas:
+        tele = _telescoping(n, k)
+        recur = _alpha_values(n, k, (n - k) // 2)
+        if tele != recur:
             return Counterexample(
                 {"n": n, "k": k, "check": "recurrence-vs-telescoping"},
                 _alphas_dump(recur),

@@ -14,7 +14,7 @@ import pytest
 
 import legscale.cli
 import legscale.verify
-from legscale import ScalingExpansion, expand_derivative_form, legendre_bonnet
+from legscale import expand_derivative_form, legendre_bonnet
 from legscale.cli import format_decimal, main
 from legscale.rationals import format_rational
 from legscale.scaling import _a_rows
@@ -296,16 +296,16 @@ class TestVerify:
         assert replay["lambdas"] == ["2"]
 
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
-        real = expand_derivative_form
+        real = legscale.verify._derivative_form
 
-        def corrupted(lam, n):
-            expansion = real(lam, n)
+        def corrupted(p, q, n):
+            rows = list(real(p, q, n))
             if n == 2:
-                coeffs = (expansion.coeffs[0] + 1,) + expansion.coeffs[1:]
-                return ScalingExpansion(expansion.lam, n, expansion.form, coeffs)
-            return expansion
+                num, den = rows[0]
+                rows[0] = (num + den, den)  # a_0 + 1
+            return rows
 
-        monkeypatch.setattr(legscale.verify, "expand_derivative_form", corrupted)
+        monkeypatch.setattr(legscale.verify, "_derivative_form", corrupted)
         code, out, err = run_cli(capsys, "verify", "eq9", "--n-max", "4")
         assert code == 1
         payload = json.loads(out)
@@ -321,17 +321,15 @@ class TestVerify:
         assert lines[1].startswith("eq26-vs-telescoping,pass")
 
     @pytest.mark.parametrize("suite, route", [
-        ("eq19", "deriv_expand_triangular"), ("eq26", "deriv_expand_recurrence"),
-    ])
+        ("eq19", "_triangular"), ("eq26", "_alpha_values"),
+    ], ids=["eq19-deriv_expand_triangular", "eq26-deriv_expand_recurrence"])
     def test_csv_report_quotes_a_counterexample_as_csv_does(self, capsys, monkeypatch, suite, route):
+        # `route` is the integer core of the named public function, which verify reads
         real = getattr(legscale.verify, route)
 
-        def corrupted(n, k):
-            expansion = real(n, k)
-            if (n, k) == (4, 2):
-                alphas = (expansion.alphas[0] + Fraction(1, 3),) + expansion.alphas[1:]
-                return type(expansion)(n, k, alphas)
-            return expansion
+        def corrupted(n, k, *rest):
+            alphas = real(n, k, *rest)
+            return [alphas[0] + 1] + alphas[1:] if (n, k) == (4, 2) else alphas
 
         monkeypatch.setattr(legscale.verify, route, corrupted)
         code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "5", "--format", "csv")

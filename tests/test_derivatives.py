@@ -170,10 +170,12 @@ class TestCrossRoute:
                 assert to_poly(tele.to_series()) == differentiate(legendre_bonnet(n), k)
 
     def test_zero_above_degree(self):
+        # a huge order is answered without running the route
         for route in ROUTES:
-            expansion = route(4, 6)
-            assert expansion.is_zero
-            assert expansion.to_series().is_zero
+            for k in (6, 10 ** 12):
+                expansion = route(4, k)
+                assert expansion.is_zero
+                assert expansion.to_series().is_zero
 
     def test_parity_structure(self):
         for n in range(13):

@@ -16,7 +16,9 @@ now running sums over one parity, is checked against its dict-per-pass
 form, and the `LegendreSeries` constructor against the one that added to
 Fraction(0) for every term. The scalar recurrences behind `eval` are
 checked against the `Poly` route they replaced: Bonnet polynomials and
-their derivatives, evaluated by Horner.
+their derivatives, evaluated by Horner. Each public expansion, alpha route
+and the projection is pinned against the integer core that `verify` reads,
+and the stepped binomials of `_z_form` against `math.comb`.
 """
 
 from fractions import Fraction
@@ -51,16 +53,20 @@ from legscale import (
     legendre_bonnet,
     legendre_murphy,
     murphy_deriv_series,
+    project_to_legendre,
     replay_rodrigues_derivation,
     rising_factorial,
+    scale_argument,
     to_poly,
     verify_surplus_rows,
 )
 from legscale.cli import main
-from legscale.derivatives import _alpha_values
+from legscale.derivatives import _alpha_values, _telescoping, _triangular
 from legscale.rationals import as_rational, format_rational
-from legscale.polynomials import _bonnet_poly, _bonnet_rows
-from legscale.scaling import _a_rows, _basis_values, _doha_alphas, _ultraspherical
+from legscale.polynomials import _bonnet_poly, _bonnet_rows, _projection
+from legscale.scaling import (
+    _a_rows, _basis_values, _derivative_form, _doha_alphas, _legendre_form, _ultraspherical
+)
 from legscale.verify import _combination, _z_form
 
 # --- reference models ---
@@ -265,6 +271,11 @@ def ref_to_poly(series: LegendreSeries) -> Poly:
 # --- agreement ---
 
 
+def pairs(coeffs):
+    """Fractions as the (numerator, denominator) weights `_combination` takes."""
+    return [(c.numerator, c.denominator) for c in coeffs]
+
+
 def z_fractions(p: Poly, width: int):
     nums, den = _z_form(p, width)
     return tuple(Fraction(c, den) for c in nums)
@@ -299,11 +310,8 @@ def test_surplus_rows_match_the_fraction_sums():
 @given(
     n=st.integers(1, 12),
     data=st.data(),
-    # mostly zeros, and denominators that are not powers of 2, so the lcm is a real one
-    deltas=st.lists(
-        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=21)),
-        min_size=7, max_size=7,
-    ),
+    # mostly zeros; each moves one 2^k alpha_i of the triangular core, so alpha_i by d / 2^k
+    deltas=st.lists(st.one_of(st.just(0), st.integers(-40, 40)), min_size=7, max_size=7),
 )
 @settings(deadline=None, max_examples=40)
 def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
@@ -311,15 +319,18 @@ def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
     # same case, row and both sides as the Fraction sums.
     k = data.draw(st.integers(0, n - 1))
 
+    def corrupted_core(n2, k2):
+        scaled = _triangular(n2, k2)
+        return [b + d for b, d in zip(scaled, deltas)] if (n2, k2) == (n, k) else scaled
+
     def corrupted(n2, k2):
-        expansion = deriv_expand_triangular(n2, k2)
-        if (n2, k2) != (n, k):
-            return expansion
-        return type(expansion)(n2, k2, tuple(a + d for a, d in zip(expansion.alphas, deltas)))
+        return type(deriv_expand_triangular(n2, k2))(
+            n2, k2, tuple(Fraction(b, 2 ** k2) for b in corrupted_core(n2, k2))
+        )
 
     expected, cases = ref_surplus_rows(n, corrupted)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(legscale.verify, "deriv_expand_triangular", corrupted)
+        patch.setattr(legscale.verify, "_triangular", corrupted_core)
         report = verify_surplus_rows(n)
     assert report.cases == cases
     if expected is None:
@@ -399,7 +410,7 @@ def test_reconstruction_matches_poly_sums(form):
         parts = expansion_basis(form, n)
         for lam in lambdas:
             coeffs = expand(lam, n).coeffs
-            assert _combination(coeffs, parts) == ref_combination(coeffs, parts), (n, lam)
+            assert _combination(pairs(coeffs), parts) == ref_combination(coeffs, parts), (n, lam)
 
 
 @given(
@@ -413,7 +424,7 @@ def test_reconstruction_of_drawn_weights(n, form, data):
     weight = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=15))
     coeffs = data.draw(st.lists(weight, min_size=n // 2 + 1, max_size=n // 2 + 1))
     parts = expansion_basis(form, n)
-    assert _combination(coeffs, parts) == ref_combination(coeffs, parts)
+    assert _combination(pairs(coeffs), parts) == ref_combination(coeffs, parts)
 
 
 @pytest.mark.parametrize(
@@ -438,6 +449,53 @@ def test_legendre_form_matches_the_composition(lam):
     for n in range(61):
         assert expand_legendre_form(lam, n).coeffs == ref_b_composition(lam, n, False), n
         assert expand_legendre_form_untruncated(lam, n).coeffs == ref_b_composition(lam, n, True), n
+
+
+@pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
+def test_scaling_wrappers_match_their_cores(lam):
+    # Each public expansion is Fraction(num, den) of its integer core, entry by entry.
+    p, q = lam.numerator, lam.denominator
+    for n in range(41):
+        a_rows, b_rows = list(_derivative_form(p, q, n)), list(_legendre_form(p, q, n))
+        assert expand_derivative_form(lam, n).coeffs == tuple(Fraction(a, d) for a, d in a_rows), n
+        assert expand_legendre_form(lam, n).coeffs == tuple(Fraction(t, d) for t, _, d in b_rows), n
+        assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(Fraction(u, d) for _, u, d in b_rows), n
+        target = scale_argument(legendre_bonnet(n), lam)
+        terms = _projection(target)
+        assert all(num for _, num, _ in terms) and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
+        assert project_to_legendre(target).terms == {m: Fraction(num, den) for m, num, den in terms}, n
+        if n < 16:
+            for k in range(n // 2 + 1):
+                assert a_coefficient(lam, n, k) == Fraction(*a_rows[k]), (n, k)
+                assert b_coefficient(lam, n, k) == Fraction(b_rows[k][0], b_rows[k][2]), (n, k)
+                assert b_coefficient_untruncated(lam, n, k) == Fraction(b_rows[k][1], b_rows[k][2]), (n, k)
+
+
+def test_derivative_wrappers_match_their_cores():
+    # The four routes' cores are int lists, empty past k = n; the triangular
+    # one holds 2^k alpha.
+    for n in range(41):
+        for k in range(n + 3):
+            cores = {
+                deriv_expand_telescoping: (_telescoping(n, k), 1),
+                deriv_expand_triangular: (_triangular(n, k), 2 ** k),
+                deriv_expand_recurrence: (_alpha_values(n, k, (n - k) // 2), 1),
+                deriv_expand_closed: (_doha_alphas(n, k), 1),
+            }
+            for route, (values, den) in cores.items():
+                assert all(type(v) is int for v in values) and len(values) == max(0, (n - k) // 2 + 1), (n, k)
+                assert route(n, k).alphas == tuple(Fraction(v, den) for v in values), (route, n, k)
+
+
+def test_z_form_steps_match_the_comb_formula():
+    # _z_form steps C(m, j) -> C(m+1, j) exactly; the z^j numerator is
+    # (-2)^j sum_{m>=j} N_m C(m, j) over the polynomial's own denominator.
+    for m in range(61):
+        nums, den = legendre_bonnet(m).integer_form
+        expected = tuple(
+            (-2) ** j * sum(c * comb(i, j) for i, c in enumerate(nums[j:], j)) for j in range(m + 1)
+        )
+        assert _z_form(legendre_bonnet(m), m + 1) == (expected, den), m
 
 
 def test_alpha_nki_matches_diagonal_rows():

@@ -1,23 +1,18 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import legscale.scaling
 import legscale.verify
 from legscale import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
     DEFAULT_LAMBDAS,
     NONZERO_LAMBDAS,
-    DerivExpansion,
-    LegendreSeries,
     Poly,
-    ScalingExpansion,
     VerificationReport,
-    deriv_expand_recurrence,
-    deriv_expand_triangular,
-    expand_derivative_form,
     legendre_bonnet,
-    project_to_legendre,
     random_lambdas,
     replay_rodrigues_derivation,
     scale_argument,
@@ -27,6 +22,9 @@ from legscale import (
     verify_scaling_identity,
     verify_surplus_rows,
 )
+from legscale.derivatives import _alpha_values, _triangular
+from legscale.polynomials import _projection
+from legscale.scaling import _derivative_form
 
 
 class TestSweepsPass:
@@ -63,6 +61,33 @@ class TestSweepsPass:
         with pytest.raises(ValueError):
             verify_scaling_identity(5, ())
 
+    def test_a_nonzero_untruncated_weight_flips_the_limit_verdict(self, monkeypatch):
+        # A mutant whose i = k weight w_k = 2 w_(k-1) C(k-1, k) is not zero:
+        # the untruncated depth sums differ, while the truncated ones, which
+        # the reconstruction and the projection check, stay right.
+        monkeypatch.setattr(legscale.scaling, "comb", lambda a, b: 1 if b == a + 1 else comb(a, b))
+        report = verify_scaling_identity(6, (Fraction(2), Fraction(-3, 5)), FORM_LEGENDRE)
+        assert report.passed
+        assert report.details["limit_variants_agree"] is False
+
+    @pytest.mark.parametrize("form", (FORM_DERIVATIVE, FORM_LEGENDRE))
+    def test_passing_sweep_builds_no_fraction(self, monkeypatch, form):
+        # The claims are compared as the integer cores' ints: once the
+        # lambdas are clean Fractions, a passing sweep builds none.
+        lambdas = (Fraction(7, 3), Fraction(-20, 7))
+        real_new, built = Fraction.__new__, []
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        Fraction(1, 2)  # the count sees a Fraction built here
+        assert len(built) == 1
+        report = verify_scaling_identity(12, lambdas, form)
+        assert report.passed and report.cases == 13 * 2
+        assert built == [(1, 2)]
+
 
 class TestReplay:
     def test_examples(self):
@@ -79,15 +104,25 @@ class TestReplay:
             verify_replay(5, (Fraction(1), Fraction(0)))
 
 
-def _bump_first_alpha(route, bad_cases):
-    """`route` with alphas[0] off by one at the (n, k) in `bad_cases`."""
+def _bump_first_alpha(core, bad_cases):
+    """The integer route `core` with alphas[0] off by one at the (n, k) in `bad_cases`."""
 
-    def corrupted(n, k):
-        expansion = route(n, k)
-        if (n, k) in bad_cases:
-            alphas = (expansion.alphas[0] + 1,) + expansion.alphas[1:]
-            return DerivExpansion(n, k, alphas)
-        return expansion
+    def corrupted(n, k, *rest):
+        alphas = core(n, k, *rest)
+        return [alphas[0] + 1] + alphas[1:] if (n, k) in bad_cases else alphas
+
+    return corrupted
+
+
+def _bump_a0(bad_degrees):
+    """The derivative-form core with a_0 off by one at the n in `bad_degrees`."""
+
+    def corrupted(p, q, n):
+        rows = list(_derivative_form(p, q, n))
+        if n in bad_degrees:
+            num, den = rows[0]
+            rows[0] = (num + den, den)
+        return rows
 
     return corrupted
 
@@ -115,16 +150,7 @@ class TestReportMachinery:
         assert data["details"] == {"limit_variants_agree": True}
 
     def test_counterexample_records_first_failure(self, monkeypatch):
-        real = expand_derivative_form
-
-        def corrupted(lam, n):
-            expansion = real(lam, n)
-            if n in (3, 5):
-                coeffs = (expansion.coeffs[0] + 1,) + expansion.coeffs[1:]
-                return ScalingExpansion(expansion.lam, n, expansion.form, coeffs)
-            return expansion
-
-        monkeypatch.setattr(legscale.verify, "expand_derivative_form", corrupted)
+        monkeypatch.setattr(legscale.verify, "_derivative_form", _bump_a0({3, 5}))
         report = verify_scaling_identity(8, (Fraction(2),), FORM_DERIVATIVE)
         assert not report.passed
         assert report.status == "fail"
@@ -136,16 +162,7 @@ class TestReportMachinery:
         assert example.lhs != example.rhs
 
     def test_counterexample_json(self, monkeypatch):
-        real = expand_derivative_form
-
-        def corrupted(lam, n):
-            expansion = real(lam, n)
-            if n == 2:
-                coeffs = (expansion.coeffs[0] + 1,) + expansion.coeffs[1:]
-                return ScalingExpansion(expansion.lam, n, expansion.form, coeffs)
-            return expansion
-
-        monkeypatch.setattr(legscale.verify, "expand_derivative_form", corrupted)
+        monkeypatch.setattr(legscale.verify, "_derivative_form", _bump_a0({2}))
         report = verify_scaling_identity(4, (Fraction(1, 2),), FORM_DERIVATIVE)
         data = report.to_json()
         assert data["status"] == "fail"
@@ -154,25 +171,25 @@ class TestReportMachinery:
 
     # One route corrupted at two cases: the report names the earlier one in
     # sweep order. Where a suite has an inner index, the later case has the
-    # smaller one, which tells n-major order from any other.
+    # smaller one, which tells n-major order from any other. Each patch
+    # replaces the integer core that verify reads.
 
     def test_first_failure_eq13_projection(self, monkeypatch):
-        real = project_to_legendre
-
         def corrupted(p):
-            series = real(p)
-            if p.degree in (3, 5):
-                return LegendreSeries({**series.terms, 0: series.coefficient(0) + 1})
-            return series
+            terms = _projection(p)
+            if p.degree in (3, 5):  # c_0 + 1
+                head = terms[0] if terms and terms[0][0] == 0 else (0, 0, 1)
+                terms = [(0, head[1] + head[2], head[2])] + [t for t in terms if t[0]]
+            return terms
 
-        monkeypatch.setattr(legscale.verify, "project_to_legendre", corrupted)
+        monkeypatch.setattr(legscale.verify, "_projection", corrupted)
         report = verify_scaling_identity(8, (Fraction(2),), FORM_LEGENDRE)
         assert report.status == "fail"
         assert report.counterexample.params == {"n": 3, "lambda": "2", "check": "projection"}
 
     def test_first_failure_eq19_route_mismatch(self, monkeypatch):
-        corrupted = _bump_first_alpha(deriv_expand_recurrence, {(3, 2), (4, 1)})
-        monkeypatch.setattr(legscale.verify, "deriv_expand_recurrence", corrupted)
+        corrupted = _bump_first_alpha(_alpha_values, {(3, 2), (4, 1)})
+        monkeypatch.setattr(legscale.verify, "_alpha_values", corrupted)
         report = verify_derivative_identity(6)
         assert report.status == "fail"
         assert report.counterexample.params == {
@@ -181,16 +198,16 @@ class TestReportMachinery:
         assert report.cases == 3 + 4 + 5 + 3  # k <= n+2 for n < 3, then k = 0, 1, 2
 
     def test_first_failure_eq24_rows(self, monkeypatch):
-        corrupted = _bump_first_alpha(deriv_expand_triangular, {(3, 1), (4, 0)})
-        monkeypatch.setattr(legscale.verify, "deriv_expand_triangular", corrupted)
+        corrupted = _bump_first_alpha(_triangular, {(3, 1), (4, 0)})
+        monkeypatch.setattr(legscale.verify, "_triangular", corrupted)
         report = verify_surplus_rows(6)
         assert report.subject == "eq24-rows"
         assert report.status == "fail"
         assert report.counterexample.params == {"n": 3, "k": 1, "row": 1, "check": "surplus-row"}
 
     def test_first_failure_eq26(self, monkeypatch):
-        corrupted = _bump_first_alpha(deriv_expand_recurrence, {(3, 2), (4, 1)})
-        monkeypatch.setattr(legscale.verify, "deriv_expand_recurrence", corrupted)
+        corrupted = _bump_first_alpha(_alpha_values, {(3, 2), (4, 1)})
+        monkeypatch.setattr(legscale.verify, "_alpha_values", corrupted)
         report = verify_recurrence_vs_telescoping(6)
         assert report.status == "fail"
         assert report.counterexample.params == {
