@@ -25,16 +25,17 @@ _EXPORTS = {
         ("polynomials", (
             "Poly", "LegendreSeries", "legendre_bonnet", "legendre_rodrigues", "legendre_murphy",
             "differentiate", "scale_argument", "inner_product", "project_to_legendre", "to_poly",
+            "expansion_basis",
         )),
         ("derivatives", (
-            "DerivExpansion", "DegeneratePivotError", "deriv_expand_telescoping",
-            "deriv_expand_triangular", "deriv_expand_recurrence", "deriv_expand_closed",
-            "murphy_deriv_series", "alpha_closed_recurrence",
+            "DerivExpansion", "deriv_expand_telescoping", "deriv_expand_triangular",
+            "deriv_expand_recurrence", "deriv_expand_closed", "murphy_deriv_series",
+            "alpha_closed_recurrence",
         )),
         ("scaling", (
             "FORM_DERIVATIVE", "FORM_LEGENDRE", "ScalingExpansion", "a_coefficient",
-            "b_coefficient", "b_coefficient_untruncated", "alpha_nki", "expansion_basis",
-            "expand_derivative_form", "expand_legendre_form", "expand_legendre_form_untruncated",
+            "b_coefficient", "b_coefficient_untruncated", "alpha_nki", "expand_derivative_form",
+            "expand_legendre_form", "expand_legendre_form_untruncated",
         )),
         ("verify", (
             "DEFAULT_LAMBDAS", "NONZERO_LAMBDAS", "Counterexample", "VerificationReport",

@@ -6,8 +6,8 @@ Four independent routes produce the same alpha set:
 
 * telescoping: unroll d/dx P_m = sum_{m' = m-1, m-3, ...} (2m'+1) P_{m'}
   k times, accumulating coefficients exactly;
-* triangular: match coefficients of both sides written as terminating
-  series in z = (1-x)/2 and solve the resulting triangular system;
+* triangular: match coefficients of both sides written as Murphy's
+  terminating series in z = (1-x)/2 and solve the triangular system;
 * closed recurrence: evaluate each alpha from falling factorials and the
   previously computed alphas (each falling factorial of a half-integer is
   an odd-number product over a power of 2);
@@ -41,7 +41,6 @@ from .scaling import _doha_alphas
 
 __all__ = [
     "DerivExpansion",
-    "DegeneratePivotError",
     "deriv_expand_telescoping",
     "deriv_expand_triangular",
     "deriv_expand_recurrence",
@@ -49,13 +48,6 @@ __all__ = [
     "murphy_deriv_series",
     "alpha_closed_recurrence",
 ]
-
-class DegeneratePivotError(ArithmeticError):
-    """A diagonal entry of the coefficient-matching system vanished.
-
-    This cannot happen for valid (degree, order) pairs; raising instead of
-    silently dividing pins an indexing bug to its source.
-    """
 
 
 class DerivExpansion(Record):
@@ -180,9 +172,10 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
 def _triangular(n: int, k: int) -> List[int]:
     """The triangular core: 2^k times the alphas of d^k P_n, as ints ([] when k > n).
 
-    Row j equates the z^j coefficient of d^k P_n with the z^j coefficient of
-    sum_i alpha_i P_{N-2i} (N = n-k). Rows are consumed from j = N downward:
-    every even offset N-j introduces exactly one new unknown, and the
+    Row j equates the z^j coefficients of d^k P_n and of sum_i alpha_i P_{N-2i}
+    (N = n-k), P_m's from its z-row `_murphy_scaled(m, 0)`. Rows are consumed
+    from j = N downward: every even offset N-j introduces exactly one new
+    unknown, whose pivot (-1)^j C(2j, j), P_j's z^j term, is never zero; the
     odd-offset rows -- redundant by construction -- are kept as consistency
     checks instead of being discarded, so a sign or index slip surfaces here
     rather than downstream. Both sides are scaled by 2^k, so the rows are
@@ -191,18 +184,13 @@ def _triangular(n: int, k: int) -> List[int]:
     """
     big_n = n - k
     targets = _murphy_scaled(n, k)
+    z_rows = [_murphy_scaled(m, 0) for m in range(big_n, -1, -2)]  # P_m has no z^j past j = m
     scaled: List[int] = []  # 2^k alpha_i
     for j in range(big_n, -1, -1):
         offset = big_n - j
-        # z^j coefficient of P_m is (-1)^j C(m,j) C(m+j,j), 0 once j > m
-        sign = (-1) ** j
-        row = [sign * comb(m, j) * comb(m + j, j) for m in range(big_n, j - 1, -2)]
-        acc = sum(beta * entry for beta, entry in zip(scaled, row))
-        if offset % 2 == 0:
-            pivot = row[offset // 2]  # one unknown per even offset
-            if pivot == 0:
-                raise DegeneratePivotError(f"vanishing pivot at row {j} for (n, k) = ({n}, {k})")
-            quotient, rem = divmod(targets[j] - acc, pivot)
+        acc = sum(beta * row[j] for beta, row in zip(scaled, z_rows))
+        if offset % 2 == 0:  # one unknown per even offset
+            quotient, rem = divmod(targets[j] - acc, z_rows[offset // 2][j])
             if rem:
                 raise ArithmeticError(f"inexact unknown {offset // 2} for (n, k) = ({n}, {k})")
             scaled.append(quotient)

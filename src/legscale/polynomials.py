@@ -4,9 +4,11 @@ Three independent ways of building P_n live here (three-term recurrence,
 repeated differentiation of (x^2-1)^n, terminating Gauss series), together
 with the formal operations every identity check rests on: differentiation,
 argument scaling, the exact inner product on [-1, 1], projection onto the
-Legendre basis and the integer linear combination of polynomials. A `Poly`
-holds int numerators over one denominator, so all of these run in Python
-integers; Fractions are built only where values leave a polynomial.
+Legendre basis and the scaling expansions' bases (both read a walk of the
+Bonnet rows, not a cache), and the integer linear combination of
+polynomials. A `Poly` holds int numerators over one denominator, so all
+of these run in Python integers; Fractions are built only where values
+leave a polynomial.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from operator import index, mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .rationals import RationalLike, _parse_index, as_rational, format_rational, parse_rational
+from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE
 
 __all__ = [
     "Poly",
@@ -30,6 +33,7 @@ __all__ = [
     "scale_argument",
     "inner_product",
     "project_to_legendre",
+    "expansion_basis",
     "to_poly",
 ]
 
@@ -345,6 +349,24 @@ def legendre_bonnet(n: int) -> Poly:
     return _bonnet_poly(n, next(islice(_bonnet_rows(), n, None)))
 
 
+def _basis(form: str, n: int, rows: Sequence[List[int]]) -> Tuple[Poly, ...]:
+    """The polynomials of `expansion_basis` from the Bonnet rows R_0 ... R_n."""
+    if form == FORM_DERIVATIVE:
+        return tuple(differentiate(_bonnet_poly(n - k, rows[n - k]), k) for k in range(n // 2 + 1))
+    return tuple(_bonnet_poly(n - 2 * k, rows[n - 2 * k]) for k in range(n // 2 + 1))
+
+
+def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
+    """The polynomial ``coeffs[k]`` of a `scaling.ScalingExpansion` multiplies,
+    for every k = 0 ... floor(n/2): d^k P_{n-k} (derivative form) or P_{n-2k}
+    (legendre form), all from one walk of the Bonnet rows."""
+    if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
+        raise ValueError(f"unknown form {form!r}")
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return _basis(form, n, list(islice(_bonnet_rows(), n + 1)))
+
+
 def legendre_rodrigues(n: int) -> Poly:
     """P_n as the n-th derivative of (x^2-1)^n divided by 2^n n!.
 
@@ -426,14 +448,14 @@ def inner_product(p: Poly, q: Poly) -> Fraction:
     return Fraction(total, big_l * prod._den)
 
 
-def _projection(p: Poly) -> List[Tuple[int, int, int]]:
+def _projection(p: Poly, rows: Iterable[List[int]]) -> List[Tuple[int, int, int]]:
     """The integer core of `project_to_legendre`: (m, numerator, denominator),
     unreduced, for each degree m whose coefficient is nonzero, ascending.
 
     With p = sum_i N_i x^i / D of degree n, L = lcm(1, 3, ..., 2n+1) and the
     integer moments M_j = sum_{i = j mod 2} N_i * L / (i+j+1), so that
-    int_{-1}^{1} x^j p = 2 M_j / (D L), and with R_m = 2^m P_m the integer
-    Bonnet rows (R_m[j] the coefficient of x^j),
+    int_{-1}^{1} x^j p = 2 M_j / (D L), and with R_m[j] the x^j coefficient
+    of R_m = 2^m P_m, row m of `rows` (as `_bonnet_rows` yields them),
 
         c_m = (2m+1) * sum_j R_m[j] M_j / (2^m D L).
 
@@ -441,8 +463,6 @@ def _projection(p: Poly) -> List[Tuple[int, int, int]]:
     out once. Deliberately sums every degree 0 ... n, so vanishing
     coefficients are computed, not assumed; this keeps the projection usable
     as an independent check on any coefficient formula. O(n^2) products.
-    Up to BONNET_CACHE_SIZE rows, R_m over 2^m is read in lowest terms from the
-    cached `legendre_bonnet(m)`; longer targets walk the rows once.
     """
     nums, den = p._nums, p._den
     size = len(nums)
@@ -450,23 +470,19 @@ def _projection(p: Poly) -> List[Tuple[int, int, int]]:
     weights = [big_l // d for d in range(1, 2 * size, 2)]  # entry t is L/(2t+1)
     # M_j pairs N_i, i = j mod 2, j mod 2 + 2, ..., with L/(i+j+1) from t = ceil(j/2) on
     moments = [sum(map(mul, nums[j % 2::2], weights[(j + 1) // 2:])) for j in range(size)]
-    if size <= BONNET_CACHE_SIZE:  # a sweep's targets have put these in the cache
-        bonnet = map(legendre_bonnet, range(size))
-        rows = ((b._nums[m::-2], b._den) for m, b in enumerate(bonnet))
-    else:
-        rows = ((row, 2 ** m) for m, row in enumerate(_bonnet_rows()))
     found = []
-    for m, (row, row_den) in zip(range(size), rows):
+    for m, row in zip(range(size), rows):
         total = sum(map(mul, row, moments[m::-2]))
         if total:
-            found.append((m, (2 * m + 1) * total, row_den * den * big_l))
+            found.append((m, (2 * m + 1) * total, 2 ** m * den * big_l))
     return found
 
 
 def project_to_legendre(p: Poly) -> LegendreSeries:
     """Legendre coefficients by exact integration: c_m = (2m+1)/2 * <p, P_m>,
-    one Fraction per nonzero coefficient of `_projection`."""
-    return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p))
+    one Fraction per nonzero coefficient of `_projection` over one walk of
+    the Bonnet rows."""
+    return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p, _bonnet_rows()))
 
 
 def _combination(weights: Iterable[Tuple[int, int]], parts: Sequence[Poly]) -> Poly:

@@ -22,7 +22,8 @@ wrap the integer cores `_derivative_form` and `_legendre_form`, read by `verify`
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
 P_n(0) is reachable). Basis values at a point come from integer
-recurrences (`_basis_values`); only `expansion_basis` needs `polynomials`.
+recurrences (`_basis_values`); the basis polynomials themselves are
+`polynomials.expansion_basis`, and nothing here imports `polynomials`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, factorial, gcd, prod
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .rationals import RationalLike, Record, _parse_index, as_rational, format_rational, parse_rational
-
-if TYPE_CHECKING:
-    from .polynomials import Poly
 
 __all__ = [
     "FORM_DERIVATIVE",
@@ -48,7 +46,6 @@ __all__ = [
     "b_coefficient_untruncated",
     "expand_legendre_form",
     "expand_legendre_form_untruncated",
-    "expansion_basis",
 ]
 
 FORM_DERIVATIVE = "derivative"
@@ -59,9 +56,9 @@ class ScalingExpansion(Record):
     """Coefficient map for one expansion of P_n(lam*x).
 
     ``coeffs[k]``, k = 0 ... floor(n/2), multiplies d^k P_{n-k} in the
-    derivative form and P_{n-2k} in the legendre form (`expansion_basis`
-    builds them). The map is dense: zero entries are kept so every
-    admissible k is listed.
+    derivative form and P_{n-2k} in the legendre form
+    (`polynomials.expansion_basis` builds them). The map is dense: zero
+    entries are kept so every admissible k is listed.
     """
 
     __slots__ = ("lam", "n", "form", "coeffs")
@@ -100,23 +97,6 @@ class ScalingExpansion(Record):
             raise ValueError(f"coefficient indices must lie in 0 ... {n // 2}")
         coeffs = tuple(raw.get(k, Fraction(0)) for k in range(n // 2 + 1))
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
-
-
-def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
-    """The polynomial ``coeffs[k]`` multiplies, for every k = 0 ... floor(n/2):
-    d^k P_{n-k} (derivative form) or P_{n-2k} (legendre form), all from one
-    walk of the Bonnet rows."""
-    from .polynomials import _bonnet_poly, _bonnet_rows, differentiate
-
-    if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
-        raise ValueError(f"unknown form {form!r}")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    step = 1 if form == FORM_DERIVATIVE else 2
-    wanted = {n - step * k: k for k in range(n // 2 + 1)}  # degree -> k
-    rows = zip(range(n + 1), _bonnet_rows())
-    parts = {wanted[m]: _bonnet_poly(m, row) for m, row in rows if m in wanted}
-    return tuple(differentiate(parts[k], k) if step == 1 else parts[k] for k in range(n // 2 + 1))
 
 
 def _ultraspherical(k: int, s: int, t: int) -> Iterator[int]:

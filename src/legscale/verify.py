@@ -19,9 +19,10 @@ The checks run in Python integers: the eq9/eq13 reconstruction over one
 common denominator, the projection (`polynomials._projection`) and the
 surplus rows compared by cross-multiplying, the alpha routes as int lists,
 and the replay's binomial sum. A Fraction or a params dict is built only
-for a counterexample, so a passing case builds neither. Work that depends
-on n alone (eq9/eq13's basis, the projection's Bonnet rows) is shared by
-every lambda, and the replay sums only the binomial terms that D^n keeps.
+for a counterexample, so a passing case builds neither. An eq9/eq13 sweep
+walks the integer Bonnet rows once; each n's target P_n, basis and
+projection read that walk and are shared by every lambda, and the replay
+sums only the binomial terms that D^n keeps.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from math import comb, factorial
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .derivatives import _alpha_values, _telescoping, _triangular
-from .polynomials import Poly, _combination, _projection, differentiate, legendre_bonnet, scale_argument
-from .rationals import RationalLike, Record, as_rational, format_rational
-from .scaling import (
-    FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form, expansion_basis
+from .polynomials import (
+    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, differentiate, legendre_bonnet,
+    scale_argument,
 )
+from .rationals import RationalLike, Record, as_rational, format_rational
+from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -180,9 +182,9 @@ def verify_scaling_identity(
     legendre = form == FORM_LEGENDRE
     details: Dict[str, object] = {"limit_variants_agree": True} if legendre else {}
 
-    def check(n: int, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
+    def check(n: int, p_n: Poly, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
         p, q = lam.numerator, lam.denominator
-        target = scale_argument(legendre_bonnet(n), lam)
+        target = scale_argument(p_n, lam)
         if legendre:
             rows = list(_legendre_form(p, q, n))
             if any(truncated != untruncated for truncated, untruncated, _ in rows):
@@ -195,7 +197,7 @@ def verify_scaling_identity(
             return _poly_mismatch(_lambda_params(n, lam, "reconstruction"), rebuilt, target)
         if legendre:
             claimed = [(n - 2 * k, num, den) for k, (num, den) in enumerate(weights) if num][::-1]
-            projected = _projection(target)
+            projected = _projection(target, bonnet_rows)
             if len(claimed) != len(projected) or any(
                 m != m2 or num * den2 != num2 * den
                 for (m, num, den), (m2, num2, den2) in zip(claimed, projected)
@@ -205,11 +207,12 @@ def verify_scaling_identity(
                 )
         return None
 
-    # The basis is built once per n and shared by every lambda.
+    # One Bonnet walk serves every P_n, basis and projection; each n's are shared by every lambda.
+    bonnet_rows = [row for _, row in zip(range(n_max + 1), _bonnet_rows())]
     cases = (
-        (n, parts, lam)
-        for n in range(n_max + 1)
-        for parts in (expansion_basis(form, n),)
+        (n, p_n, parts, lam)
+        for n, row in enumerate(bonnet_rows)
+        for p_n, parts in ((_bonnet_poly(n, row), _basis(form, n, bonnet_rows)),)
         for lam in values
     )
     subject = "eq13" if legendre else "eq9"

@@ -245,11 +245,10 @@ class TestVerify:
         ]
 
     def test_projection_rows_are_not_walked_per_lambda(self, capsys, monkeypatch):
-        # The projection reads its Bonnet rows from `legendre_bonnet`'s
-        # cache, which each case's target has filled, so the walks of
-        # `_bonnet_rows` depend on n_max alone, not on how many lambdas are
-        # swept at each n. From a cold cache, eq13 at n_max 12 walks 26
-        # times: one basis walk and one target miss per n.
+        # The sweep walks the Bonnet rows once, and every P_n, basis and
+        # projection reads that walk, so the walks of `_bonnet_rows` depend
+        # neither on how many lambdas are swept at each n nor on n_max: eq13
+        # at n_max 12 walks once from a cold cache.
         real = legscale.polynomials._bonnet_rows
 
         def walks_for(*lambda_args):
@@ -270,7 +269,7 @@ class TestVerify:
         many, err = walks_for("--seed", "1")
         assert err == "eq13                    pass  351 cases\n"  # 27 lambdas, n <= 12
         one, _ = walks_for("--lambda", "7/3")
-        assert many == one == 26
+        assert many == one == 1
 
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")

@@ -61,7 +61,7 @@ from legscale import (
     verify_surplus_rows,
 )
 from legscale.cli import main
-from legscale.derivatives import _alpha_values, _telescoping, _triangular
+from legscale.derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
 from legscale.rationals import as_rational, format_rational
 from legscale.polynomials import _bonnet_poly, _bonnet_rows, _projection
 from legscale.scaling import (
@@ -461,7 +461,7 @@ def test_scaling_wrappers_match_their_cores(lam):
         assert expand_legendre_form(lam, n).coeffs == tuple(Fraction(t, d) for t, _, d in b_rows), n
         assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(Fraction(u, d) for _, u, d in b_rows), n
         target = scale_argument(legendre_bonnet(n), lam)
-        terms = _projection(target)
+        terms = _projection(target, _bonnet_rows())
         assert all(num for _, num, _ in terms) and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
         assert project_to_legendre(target).terms == {m: Fraction(num, den) for m, num, den in terms}, n
         if n < 16:
@@ -490,12 +490,15 @@ def test_derivative_wrappers_match_their_cores():
 def test_z_form_steps_match_the_comb_formula():
     # _z_form steps C(m, j) -> C(m+1, j) exactly; the z^j numerator is
     # (-2)^j sum_{m>=j} N_m C(m, j) over the polynomial's own denominator.
+    # `_murphy_scaled(m, 0)`, the z-row the triangular solve reads, steps
+    # (-1)^j C(m, j) C(m+j, j) by its ratio and must match it term by term.
     for m in range(61):
         nums, den = legendre_bonnet(m).integer_form
         expected = tuple(
             (-2) ** j * sum(c * comb(i, j) for i, c in enumerate(nums[j:], j)) for j in range(m + 1)
         )
         assert _z_form(legendre_bonnet(m), m + 1) == (expected, den), m
+        assert _murphy_scaled(m, 0) == [(-1) ** j * comb(m, j) * comb(m + j, j) for j in range(m + 1)], m
 
 
 def test_alpha_nki_matches_diagonal_rows():

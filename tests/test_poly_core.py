@@ -25,6 +25,7 @@ from legscale import (
     scale_argument,
     to_poly,
 )
+from legscale import polynomials
 from legscale.polynomials import BONNET_CACHE_SIZE
 
 rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
@@ -234,15 +235,37 @@ def test_projection_of_scaled_targets_matches_oracle(lam):
 
 
 def test_projection_of_high_degree_bonnet_polynomials():
-    # Degrees up to 127 read their 128 rows R_0 ... R_127 from the bounded
-    # `legendre_bonnet` cache; degree 128 needs 129 rows, so it and 129 are
-    # projected from a walk of their own. The cache stays within its bound.
+    # The projection walks its own Bonnet rows at every degree; the oracle
+    # reads P_0 ... P_n from the bounded `legendre_bonnet` cache, which it
+    # fills at degree 127 and which stays within its bound past it.
     legendre_bonnet.cache_clear()
     for n in (60, 61, 127, 128, 129):
         assert project_to_legendre(legendre_bonnet(n)).terms == {n: 1}
         assert project_to_legendre(legendre_bonnet(n)) == projection_oracle(legendre_bonnet(n))
         assert legendre_bonnet.cache_info().currsize <= BONNET_CACHE_SIZE
     assert legendre_bonnet.cache_info().currsize == BONNET_CACHE_SIZE  # filled at degree 127
+
+
+def test_cold_projection_walks_the_rows_once(monkeypatch):
+    # The projection reads no `legendre_bonnet` entry: from a cold cache,
+    # projecting a degree-127 target adds one walk of the Bonnet rows and no
+    # `legendre_bonnet` call.
+    legendre_bonnet.cache_clear()
+    target = scale_argument(legendre_bonnet(127), Fraction(7, 3))
+    walks = []
+    real = polynomials._bonnet_rows
+
+    def counting():
+        walks.append(1)
+        return real()
+
+    monkeypatch.setattr(polynomials, "_bonnet_rows", counting)
+    before = legendre_bonnet.cache_info()
+    projected = project_to_legendre(target)
+    after = legendre_bonnet.cache_info()
+    assert len(walks) == 1
+    assert after.hits + after.misses == before.hits + before.misses
+    assert projected == projection_oracle(target)
 
 
 def test_projections_in_threads_see_whole_row_tables():

@@ -175,8 +175,8 @@ class TestReportMachinery:
     # replaces the integer core that verify reads.
 
     def test_first_failure_eq13_projection(self, monkeypatch):
-        def corrupted(p):
-            terms = _projection(p)
+        def corrupted(p, rows):
+            terms = _projection(p, rows)
             if p.degree in (3, 5):  # c_0 + 1
                 head = terms[0] if terms and terms[0][0] == 0 else (0, 0, 1)
                 terms = [(0, head[1] + head[2], head[2])] + [t for t in terms if t[0]]
