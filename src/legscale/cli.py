@@ -18,11 +18,10 @@ from .rationals import _parse_index, format_rational, parse_rational
 from .scaling import (
     FORM_DERIVATIVE,
     FORM_LEGENDRE,
-    ScalingExpansion,
     _a_rows,
     _basis_values,
     _doha_alphas,
-    expand_derivative_form,
+    _expansion,
     expand_legendre_form,
 )
 
@@ -161,11 +160,6 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _scaling_expansion(form: str, lam: Fraction, n: int) -> ScalingExpansion:
-    expand = expand_derivative_form if form == FORM_DERIVATIVE else expand_legendre_form
-    return expand(lam, n)
-
-
 def _table_bits(kind: str, lam: Optional[Fraction], n_max: int) -> int:
     """B such that every numerator and denominator `table kind` prints for
     degrees up to n_max is below 2^B, from bit lengths alone.
@@ -275,7 +269,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n)
-        record = _scaling_expansion(args.form or FORM_LEGENDRE, lam, args.n)
+        record = _expansion(lam, args.n, args.form or FORM_LEGENDRE, 0)
         key, values = "k", record.coeffs
         keys = range(len(values))
     else:
@@ -374,7 +368,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         form, coeffs, point = FORM_LEGENDRE, (Fraction(1),), lam * point
     else:
         form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
-        coeffs = _scaling_expansion(form, lam, args.n).coeffs
+        coeffs = _expansion(lam, args.n, form, 0).coeffs
     # at lambda = 0, 1, -1 most weights are 0: evaluate no basis value for them
     nonzero = [k for k, c in enumerate(coeffs) if c]
     values = _basis_values(form, args.n, point, nonzero)

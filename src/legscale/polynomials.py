@@ -340,9 +340,9 @@ def legendre_bonnet(n: int) -> Poly:
     Runs in integers on R_m = 2^m P_m, which obeys
     (m+1) R_{m+1} = 2(2m+1) x R_m - 4m R_{m-1} with R_0 = 1, R_1 = 2x and
     an exact division by m+1; P_n is the last row over 2^n. The most recent
-    BONNET_CACHE_SIZE degrees are cached (`legendre_bonnet.cache_clear()`
-    empties the cache); Poly is immutable, so sharing results across callers
-    and threads is safe.
+    BONNET_CACHE_SIZE degrees are cached for direct callers and `to_poly`
+    (`cache_clear()` empties it); sweeps walk `_bonnet_rows` instead. Poly
+    is immutable, so sharing results across callers and threads is safe.
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")

@@ -19,22 +19,21 @@ The checks run in Python integers: the eq9/eq13 reconstruction over one
 common denominator, the projection (`polynomials._projection`) and the
 surplus rows compared by cross-multiplying, the alpha routes as int lists,
 and the replay's binomial sum. A Fraction or a params dict is built only
-for a counterexample, so a passing case builds neither. An eq9/eq13 sweep
-walks the integer Bonnet rows once; each n's target P_n, basis and
-projection read that walk and are shared by every lambda, and the replay
-sums only the binomial terms that D^n keeps.
+for a counterexample, so a passing case builds neither. A sweep reads P_m
+from one walk of the Bonnet rows, not a cache: eq9/eq13 share each n's
+basis and projection across lambdas, eq19/eq24-rows hand every solve one
+list of z-rows, and the replay sums only the binomial terms D^n keeps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .derivatives import _alpha_values, _telescoping, _triangular
+from .derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
 from .polynomials import (
-    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, differentiate, legendre_bonnet,
-    scale_argument,
+    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, differentiate, scale_argument,
 )
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
@@ -219,6 +218,11 @@ def verify_scaling_identity(
     return _report(subject, n_max, cases, check, (0, n_max // 2), values, details)
 
 
+def _legendre_polys(n_max: int) -> List[Poly]:
+    """P_0 ... P_n_max from one walk of the Bonnet rows."""
+    return [_bonnet_poly(m, row) for m, row in zip(range(n_max + 1), _bonnet_rows())]
+
+
 def _lambda_params(n: int, lam: Fraction, check: str) -> Dict[str, object]:
     return {"n": n, "lambda": format_rational(lam), "check": check}
 
@@ -243,11 +247,13 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
     differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there
     every route is empty and the derivative the zero polynomial.
     """
+    legendre = _legendre_polys(n_max)
+    z_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)]
 
     def check(n: int, k: int) -> Optional[Counterexample]:
         tele = _telescoping(n, k)
         routes = (
-            ("triangular", _triangular(n, k), [a << k for a in tele], 2 ** k),
+            ("triangular", _triangular(n, k, z_rows), [a << k for a in tele], 2 ** k),
             ("recurrence", _alpha_values(n, k, (n - k) // 2), tele, 1),
             ("closed", _doha_alphas(n, k), tele, 1),
         )
@@ -258,9 +264,9 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
                     _alphas_dump(tele),
                     _alphas_dump(alphas, den),
                 )
-        parts = [legendre_bonnet(n - k - 2 * i) for i in range(len(tele))]
+        parts = [legendre[n - k - 2 * i] for i in range(len(tele))]
         rebuilt = _combination([(a, 1) for a in tele], parts)
-        expected = differentiate(legendre_bonnet(n), k)
+        expected = differentiate(legendre[n], k)
         if rebuilt != expected:
             return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
         return None
@@ -298,21 +304,20 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     (-1)^j C(m,j) C(m+j,j), so a row's sum stays over the 2^k of the
     triangular core and is compared by cross-multiplying.
     """
-    z_rows: Dict[int, Tuple[int, ...]] = {}  # m -> P_m in powers of z, m <= n_max
-
-    def z_row(m: int) -> Tuple[int, ...]:
-        if m not in z_rows:
-            nums, den = _z_form(legendre_bonnet(m), m + 1)
-            if any(c % den for c in nums):
-                raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
-            z_rows[m] = tuple(c // den for c in nums)
-        return z_rows[m]
+    legendre = _legendre_polys(n_max)
+    murphy_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)]  # the solve's; z_rows stay independent
+    z_rows = []  # P_m in powers of z by substitution
+    for m, p_m in enumerate(legendre):
+        nums, den = _z_form(p_m, m + 1)
+        if any(c % den for c in nums):
+            raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
+        z_rows.append([c // den for c in nums])
 
     def check(n: int, k: int) -> Optional[Counterexample]:
         big_n = n - k
-        scaled = _triangular(n, k)  # 2^k alpha_i
-        lhs, lhs_den = _z_form(differentiate(legendre_bonnet(n), k), big_n + 1)
-        rows = [z_row(big_n - 2 * i) for i in range(len(scaled))]
+        scaled = _triangular(n, k, murphy_rows)  # 2^k alpha_i
+        lhs, lhs_den = _z_form(differentiate(legendre[n], k), big_n + 1)
+        rows = [z_rows[m] for m in range(big_n, -1, -2)]
         for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
             # P_m has no z^j term past j = m
             combined = sum(c * row[j] for c, row in zip(scaled, rows) if j < len(row))
@@ -382,14 +387,13 @@ def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS)
     values = _clean_lambdas(lambdas)
     if any(v == 0 for v in values):
         raise ValueError("lambda=0 invalid for replay")
+    legendre = _legendre_polys(n_max)
 
     def check(n: int, lam: Fraction) -> Optional[Counterexample]:
         replayed = replay_rodrigues_derivation(lam, n)
-        target = scale_argument(legendre_bonnet(n), lam)
+        target = scale_argument(legendre[n], lam)
         if replayed != target:
-            return _poly_mismatch(
-                {"n": n, "lambda": format_rational(lam), "check": "replay"}, replayed, target
-            )
+            return _poly_mismatch(_lambda_params(n, lam, "replay"), replayed, target)
         return None
 
     cases = ((n, lam) for n in range(n_max + 1) for lam in values)

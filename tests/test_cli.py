@@ -245,13 +245,16 @@ class TestVerify:
         ]
 
     def test_projection_rows_are_not_walked_per_lambda(self, capsys, monkeypatch):
-        # The sweep walks the Bonnet rows once, and every P_n, basis and
-        # projection reads that walk, so the walks of `_bonnet_rows` depend
-        # neither on how many lambdas are swept at each n nor on n_max: eq13
-        # at n_max 12 walks once from a cold cache.
+        # Each sweep that reads P_m walks the Bonnet rows once, and every
+        # P_n, basis, projection and replay target reads that walk, so the
+        # walks of `_bonnet_rows` depend neither on how many lambdas are
+        # swept at each n nor on n_max: eq13 at n_max 12 walks once, and
+        # `verify all` once for each of eq9, eq13, eq19, eq24-rows and
+        # replay (eq26 reads no P_m). No sweep reads the `legendre_bonnet`
+        # cache: it stays empty, with no hit and no miss.
         real = legscale.polynomials._bonnet_rows
 
-        def walks_for(*lambda_args):
+        def walks_for(suite, *lambda_args):
             walks = []
 
             def counting():
@@ -262,14 +265,17 @@ class TestVerify:
                 if hasattr(module, "_bonnet_rows"):
                     monkeypatch.setattr(module, "_bonnet_rows", counting)
             legendre_bonnet.cache_clear()
-            code, out, err = run_cli(capsys, "verify", "eq13", "--n-max", "12", *lambda_args)
+            code, out, err = run_cli(capsys, "verify", suite, "--n-max", "12", *lambda_args)
             assert code == 0 and json.loads(out)["status"] == "pass", err
+            info = legendre_bonnet.cache_info()
+            assert (info.hits, info.misses) == (0, 0), (suite, lambda_args)
             return len(walks), err
 
-        many, err = walks_for("--seed", "1")
+        many, err = walks_for("eq13", "--seed", "1")
         assert err == "eq13                    pass  351 cases\n"  # 27 lambdas, n <= 12
-        one, _ = walks_for("--lambda", "7/3")
+        one, _ = walks_for("eq13", "--lambda", "7/3")
         assert many == one == 1
+        assert walks_for("all", "--seed", "1")[0] == walks_for("all", "--lambda", "7/3")[0] == 5
 
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")

@@ -318,14 +318,15 @@ def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
     # The alphas of one (n, k) moved by deltas: the integer rows must name the
     # same case, row and both sides as the Fraction sums.
     k = data.draw(st.integers(0, n - 1))
+    z_rows = [_murphy_scaled(m, 0) for m in range(n + 1)]
 
-    def corrupted_core(n2, k2):
-        scaled = _triangular(n2, k2)
+    def corrupted_core(n2, k2, rows):
+        scaled = _triangular(n2, k2, rows)
         return [b + d for b, d in zip(scaled, deltas)] if (n2, k2) == (n, k) else scaled
 
     def corrupted(n2, k2):
         return type(deriv_expand_triangular(n2, k2))(
-            n2, k2, tuple(Fraction(b, 2 ** k2) for b in corrupted_core(n2, k2))
+            n2, k2, tuple(Fraction(b, 2 ** k2) for b in corrupted_core(n2, k2, z_rows))
         )
 
     expected, cases = ref_surplus_rows(n, corrupted)
@@ -473,12 +474,14 @@ def test_scaling_wrappers_match_their_cores(lam):
 
 def test_derivative_wrappers_match_their_cores():
     # The four routes' cores are int lists, empty past k = n; the triangular
-    # one holds 2^k alpha.
+    # one holds 2^k alpha and reads P_m's z-row at index m of the one list
+    # it is handed, so at k = n+1, n+2 no row is read from its end.
+    z_rows = [_murphy_scaled(m, 0) for m in range(41)]
     for n in range(41):
         for k in range(n + 3):
             cores = {
                 deriv_expand_telescoping: (_telescoping(n, k), 1),
-                deriv_expand_triangular: (_triangular(n, k), 2 ** k),
+                deriv_expand_triangular: (_triangular(n, k, z_rows), 2 ** k),
                 deriv_expand_recurrence: (_alpha_values(n, k, (n - k) // 2), 1),
                 deriv_expand_closed: (_doha_alphas(n, k), 1),
             }

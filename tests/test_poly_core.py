@@ -268,11 +268,12 @@ def test_cold_projection_walks_the_rows_once(monkeypatch):
     assert projected == projection_oracle(target)
 
 
-def test_projections_in_threads_see_whole_row_tables():
-    # Threads that fill the Bonnet cache with different degrees at once must
-    # each read the rows up to their own degree. Each round starts from an
-    # empty cache, and the threads climb the even or the odd degrees, so the
-    # cache fills while they read it.
+def test_projections_beside_concurrent_cache_clears_and_fills():
+    # The projection walks its own Bonnet rows; `legendre_bonnet` fills and
+    # clears its bounded cache beside it. Threads that climb the even or the
+    # odd degrees fill that cache with different degrees at once, and each
+    # round starts by clearing it: every P_n they read from it, and every
+    # projection of it over its own walk, must stay exact.
     wrong = []
 
     def work(parity):

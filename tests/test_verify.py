@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import legscale.derivatives
 import legscale.scaling
 import legscale.verify
 from legscale import (
@@ -47,6 +48,23 @@ class TestSweepsPass:
 
     def test_derivative_identity(self):
         assert verify_derivative_identity(12).passed
+
+    def test_derivative_identity_builds_each_z_row_once(self, monkeypatch):
+        # The sweep hands every triangular solve the z-rows of P_0 ... P_N,
+        # built once: one Murphy series per case for the solve's target,
+        # plus N+1 rows, where rows built per (n, k) would grow like N^3.
+        real, calls = legscale.derivatives._murphy_scaled, []
+
+        def counting(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        for module in (legscale.derivatives, legscale.verify):
+            monkeypatch.setattr(module, "_murphy_scaled", counting)
+        report = verify_derivative_identity(80)
+        assert report.passed and report.cases == 3483  # k <= n+2 for n <= 80
+        assert len(calls) == 3483 + 81
+        assert calls[:81] == [(m, 0) for m in range(81)]
 
     def test_surplus_rows(self):
         assert verify_surplus_rows(10).passed
@@ -196,6 +214,20 @@ class TestReportMachinery:
             "n": 3, "k": 2, "check": "telescoping-vs-recurrence"
         }
         assert report.cases == 3 + 4 + 5 + 3  # k <= n+2 for n < 3, then k = 0, 1, 2
+
+    def test_eq19_solves_with_the_z_rows_it_builds(self, monkeypatch):
+        # One wrong entry in the z-row of P_3 that the sweep hands the solve
+        # leaves the z^3 pivot exact and breaks the division for the next
+        # unknown of (n, k) = (3, 0): the solve reads no row of its own.
+        real = legscale.verify._murphy_scaled
+
+        def corrupted(n, k):
+            row = real(n, k)
+            return row[:1] + [row[1] + 1] + row[2:] if (n, k) == (3, 0) else row
+
+        monkeypatch.setattr(legscale.verify, "_murphy_scaled", corrupted)
+        with pytest.raises(ArithmeticError, match=r"inexact unknown 1 for \(n, k\) = \(3, 0\)"):
+            verify_derivative_identity(6)
 
     def test_first_failure_eq24_rows(self, monkeypatch):
         corrupted = _bump_first_alpha(_triangular, {(3, 1), (4, 0)})
