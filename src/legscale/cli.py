@@ -28,9 +28,8 @@ from .scaling import (
 if TYPE_CHECKING:
     from .verify import VerificationReport
 
-# Each command imports the modules only it runs (`verify`, `derivatives`,
-# `json`) when it runs, so a process loads no more than its command
-# needs: start-up is a large share of a short invocation.
+# Only `verify` loads more (`verify`, `json`), as it runs: start-up is a
+# large share of a short invocation.
 
 __all__ = ["main", "run", "format_decimal"]
 
@@ -147,13 +146,6 @@ def _batched(pieces: Iterable[str]) -> Iterator[str]:
     yield "".join(batch)
 
 
-def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
-    """CSV of cells csv.QUOTE_MINIMAL leaves bare (ints, "p/q", decimals, and
-    cells the caller has quoted), in chunks of at least 64 KiB."""
-    lines = (",".join(map(str, row)) + "\n" for row in rows)
-    return _batched(chain([",".join(header) + "\n"], lines))
-
-
 def _json_text(payload: object) -> str:
     import json
 
@@ -233,31 +225,28 @@ def _cmd_table(args: argparse.Namespace) -> int:
             _check_printable(max(abs(num), den) for num, den in row)
 
     indices = ["n", "k", "i"] if args.kind == "alpha" else ["n", "k"]
-    values = ["value"] if args.digits is None else ["value", "float"]
-
-    def records() -> Iterator[Tuple[object, ...]]:
-        for prefix, row in _table_rows(args.kind, lam, args.n_max):
-            for j, (num, den) in enumerate(row):
-                value = f"{num}/{den}" if den != 1 else str(num)
-                if args.digits is None:
-                    yield (*prefix, j, value)
-                else:
-                    yield (*prefix, j, value, format_decimal(Fraction(num, den), args.digits))
-
     if args.format == "csv":
-        _emit(args, _csv_chunks(indices + values, records()))
-        return EXIT_OK
-    # The text of json.dumps(payload, indent=2) + "\n", written a row at a
-    # time: the kind is a fixed word, and lambda and the cells hold only
-    # digits, "-", "/" and ".", none of which JSON escapes. Index cells are
-    # numbers, value cells strings.
-    lam_text = "null" if lam is None else f'"{format_rational(lam)}"'
-    head = f'{{\n  "kind": "{args.kind}",\n  "lambda": {lam_text},\n  "n_max": {args.n_max},\n  "rows": [\n'
-    fields = [f'\n      "{name}": {{}}' for name in indices] + [f'\n      "{name}": "{{}}"' for name in values]
-    row = "    {{" + ",".join(fields) + "\n    }}"
-    rows = (row.format(*record) for record in records())
-    first = next(rows)  # every table has the row n = 0
-    _emit(args, _batched(chain([head, first], (",\n" + text for text in rows), ["\n  ]\n}\n"])))
+        head = ",".join(indices) + (",value\n" if args.digits is None else ",value,float\n")
+        keys, opening, mid, sep, end, tail = [""] * 3, "", ",", ",", "\n", ""
+    else:
+        # The text of json.dumps(payload, indent=2) + "\n": the kind is a fixed word, and
+        # lambda and the cells hold only digits, "-", "/" and ".", which JSON never escapes.
+        lam_text = "null" if lam is None else f'"{format_rational(lam)}"'
+        head = f'{{\n  "kind": "{args.kind}",\n  "lambda": {lam_text},\n  "n_max": {args.n_max},\n  "rows": ['
+        keys, opening, tail = [f'\n      "{name}": ' for name in indices], ",\n    {", "\n  ]\n}\n"
+        mid, sep, end = ',\n      "value": "', '",\n      "float": "', '"\n    }'
+
+    def cells() -> Iterator[str]:  # lead j mid value [sep decimal] end; the lead made once a row
+        for prefix, row in _table_rows(args.kind, lam, args.n_max):
+            lead = opening + "".join(f"{key}{i}," for key, i in zip(keys, prefix)) + keys[-1]
+            for j, (num, den) in enumerate(row):
+                value = f"{num}/{den}" if den != 1 else num
+                decimal = f"{sep}{format_decimal(Fraction(num, den), args.digits)}" if args.digits else ""
+                yield f"{lead}{j}{mid}{value}{decimal}{end}"
+
+    chunks = cells()
+    first = next(chunks).lstrip(",")  # every table has the row n = 0; no "," opens JSON's first row
+    _emit(args, _batched(chain([head, first], chunks, [tail])))
     return EXIT_OK
 
 
@@ -269,25 +258,27 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise UsageError("--k does not apply to scaled expansions")
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n)
-        record = _expansion(lam, args.n, args.form or FORM_LEGENDRE, 0)
-        key, values = "k", record.coeffs
-        keys = range(len(values))
+        form = args.form or FORM_LEGENDRE
+        values = _expansion(lam, args.n, form, 0).coeffs
+        key, keys = "k", range(len(values))
+        head = f'"lambda": "{format_rational(lam)}",\n  "n": {args.n},\n  "form": "{form}",\n  "coeffs"'
     else:
         if args.k is None:
             raise UsageError("--k is required for derivative expansions")
         for flag, value in (("--lambda", args.lam), ("--form", args.form)):
             if value is not None:
                 raise UsageError(f"{flag} does not apply to derivative expansions")
-        from .derivatives import deriv_expand_closed
-
-        record = deriv_expand_closed(args.n, args.k)
-        key, values = "degree", record.alphas
-        keys = map(record.degree_of, range(len(values)))
+        values = _doha_alphas(args.n, args.k) if args.k <= args.n else []
+        key, keys = "degree", range(args.n - args.k, -1, -2)
+        head = f'"n": {args.n},\n  "k": {args.k},\n  "alphas"'
     _check_printable(values)
+    # a Fraction's str is format_rational's text
     if args.format == "csv":
-        _emit(args, _csv_chunks([key, "value"], zip(keys, map(format_rational, values))))
-    else:
-        _emit(args, [_json_text(record.to_json())])
+        text = f"{key},value\n" + "".join(f"{m},{v}\n" for m, v in zip(keys, values))
+    else:  # json.dumps(record.to_json(), indent=2) + "\n", written as `_cmd_table` writes it
+        entries = ",".join(f'\n    "{m}": "{v}"' for m, v in zip(keys, values))
+        text = f"{{\n  {head}: " + (f"{{{entries}\n  }}" if entries else "{}") + "\n}\n"
+    _emit(args, [text])
     return EXIT_OK
 
 
@@ -337,15 +328,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         def quoted(text: str) -> str:  # as csv.QUOTE_MINIMAL quotes a cell holding '"'
             return '"' + text.replace('"', '""') + '"'
 
-        header = ["subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample"]
-        chunks = _csv_chunks(header, (
+        header = ("subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample")
+        chunks = [",".join(map(str, row)) + "\n" for row in (header, *(
             (
                 r.subject, r.status, *r.n_range, *(r.k_range or ("", "")),
                 " ".join(map(format_rational, r.lambdas or ())),
                 quoted(json.dumps(r.counterexample.to_json())) if r.counterexample else "",
             )
             for r in reports
-        ))
+        ))]
     else:
         chunks = [_json_text(
             {

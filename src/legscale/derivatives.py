@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, perm
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from .polynomials import LegendreSeries
 from .rationals import Record, _parse_index, format_rational, parse_rational
@@ -169,12 +169,12 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(t, scale) for t in _murphy_scaled(n, k))
 
 
-def _triangular(n: int, k: int, z_rows: Sequence[List[int]]) -> List[int]:
+def _triangular(n: int, k: int, z_rows: Sequence[List[int]] | Mapping[int, List[int]]) -> List[int]:
     """The triangular core: 2^k times the alphas of d^k P_n, as ints ([] when k > n).
 
     Row j equates the z^j coefficients of d^k P_n and of sum_i alpha_i P_{N-2i}
-    (N = n-k), P_m's read from `z_rows[m]` (its `_murphy_scaled(m, 0)`, m <= N
-    at least). Rows are consumed from j = N downward: every even offset N-j
+    (N = n-k), P_m's read from `z_rows[m]` (its `_murphy_scaled(m, 0)`, m = N,
+    N-2, ...). Rows are consumed from j = N downward: every even offset N-j
     introduces exactly one new unknown, whose pivot (-1)^j C(2j, j), P_j's z^j
     term, is never zero; the odd-offset rows -- redundant by construction --
     are kept as consistency checks instead of being discarded, so a sign or
@@ -205,7 +205,7 @@ def _triangular(n: int, k: int, z_rows: Sequence[List[int]]) -> List[int]:
 def deriv_expand_triangular(n: int, k: int) -> DerivExpansion:
     """Solve the coefficient-matching system in z = (1-x)/2 (`_triangular`)."""
     _check_orders(n, k)
-    scaled = _triangular(n, k, [_murphy_scaled(m, 0) for m in range(n - k + 1)]) if k <= n else ()
+    scaled = _triangular(n, k, {m: _murphy_scaled(m, 0) for m in range(n - k, -1, -2)}) if k <= n else ()
     return DerivExpansion(n, k, tuple(Fraction(beta, 2 ** k) for beta in scaled))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import legscale.cli
 import legscale.verify
-from legscale import expand_derivative_form, legendre_bonnet
+from legscale import deriv_expand_closed, expand_derivative_form, expand_legendre_form, legendre_bonnet
 from legscale.cli import format_decimal, main
 from legscale.rationals import format_rational
 from legscale.scaling import _a_rows
@@ -188,6 +188,33 @@ class TestExpand:
         payload = json.loads(out)
         assert payload["form"] == "derivative"
         assert payload["coeffs"] == {"0": "8", "1": "3"}
+
+    @staticmethod
+    def assert_prints(capsys, argv, record, key, entries):
+        """JSON output is json.dumps of the public record's to_json(), and CSV
+        is the rendering of `format_rational` over the record's entries."""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == json.dumps(record.to_json(), indent=2) + "\n", argv
+        assert json.loads(out) == record.to_json()
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        lines = [f"{key},value"] + [f"{m},{format_rational(v)}" for m, v in entries]
+        assert code == 0 and out == "".join(line + "\n" for line in lines), argv
+
+    @pytest.mark.parametrize("lam", ["0", "1", "-1", "2", "1/2", "-3/5", "7/3", "-16/7"])
+    @pytest.mark.parametrize("form", ["derivative", "legendre"])
+    def test_scaled_prints_the_public_record(self, capsys, lam, form):
+        expand = expand_derivative_form if form == "derivative" else expand_legendre_form
+        for n in range(41):
+            record = expand(Fraction(lam), n)
+            argv = ("expand", "scaled", "--n", str(n), "--lambda", lam, "--form", form)
+            self.assert_prints(capsys, argv, record, "k", enumerate(record.coeffs))
+
+    def test_deriv_prints_the_public_record(self, capsys):
+        for n in range(41):
+            for k in range(n + 3):
+                record = deriv_expand_closed(n, k)
+                entries = [(record.degree_of(i), a) for i, a in enumerate(record.alphas)]
+                self.assert_prints(capsys, ("expand", "deriv", "--n", str(n), "--k", str(k)), record, "degree", entries)
 
     def test_scaled_k_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -901,6 +928,12 @@ GOLDEN_STDOUT = {
     # rows and the replay dropped the terms D^n annihilates
     ("verify", "all", "--n-max", "20", "--seed", "1"):
         "e1ec2594249f8d9b5442d11a08895d70f68240145f4f982a2584783bc30b4fa8",
+    # recorded before `expand` wrote its JSON as text: an empty alphas map
+    # and the one-entry expansion of degree 0
+    ("expand", "deriv", "--n", "3", "--k", "5"):
+        "35dffd1828ced686802019d162f695eff9f71d46a954fe36bf2a280ef2aba357",
+    ("expand", "scaled", "--n", "0", "--lambda", "0"):
+        "12bde7376ece756cfac338a31b7789de93f3449eb770c4242a102d5c68efc128",
 }
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import legscale.derivatives
 from legscale import (
     DerivExpansion,
     Poly,
@@ -113,6 +114,22 @@ class TestTriangular:
         assert deriv_expand_triangular(2, 1).alphas == (3,)
         assert deriv_expand_triangular(3, 2).alphas == (15,)
         assert deriv_expand_triangular(4, 2).alphas == deriv_expand_telescoping(4, 2).alphas
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (1, 1), (7, 2), (12, 3), (40, 0), (40, 39), (41, 6), (3, 4), (2, 5)])
+    def test_lone_solve_builds_only_the_z_rows_it_reads(self, monkeypatch, n, k):
+        # the solve reads the z-rows of P_{n-k}, P_{n-k-2}, ..., 0 or 1, and
+        # the target row of d^k P_n: (n-k)//2 + 2 Murphy rows, none when k > n
+        real, calls = legscale.derivatives._murphy_scaled, []
+
+        def counting(m, order):
+            calls.append((m, order))
+            return real(m, order)
+
+        monkeypatch.setattr(legscale.derivatives, "_murphy_scaled", counting)
+        assert deriv_expand_triangular(n, k) == deriv_expand_closed(n, k)
+        expected = [(n, k), *((m, 0) for m in range(n - k, -1, -2))] if k <= n else []
+        assert sorted(calls) == sorted(expected)
+        assert len(calls) == ((n - k) // 2 + 2 if k <= n else 0)
 
 
 class TestClosedRecurrence:

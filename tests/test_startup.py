@@ -14,9 +14,10 @@ import legscale
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Modules a light command must not load: `dataclasses` pulls in `inspect`
-# and `ast`; `json` and `csv` serve output formats; `verify`, `derivatives`
-# and `polynomials` serve other commands (`eval` evaluates by scalar
-# recurrences, `table` and `expand scaled` compute coefficients only).
+# and `ast`; `json` and `csv` serve output formats (`table` and `expand`
+# write theirs as text); `verify`, `derivatives` and `polynomials` serve
+# other commands (`eval` evaluates by scalar recurrences, `table` and
+# `expand` compute coefficients only).
 HEAVY = {
     "dataclasses", "inspect", "json", "csv",
     "legscale.verify", "legscale.derivatives", "legscale.polynomials",
@@ -70,14 +71,21 @@ def baseline():
             {"json", "legscale.verify", "legscale.derivatives", "legscale.polynomials"},
         ),
         ("from legscale.cli import main\nmain(['table', 'b', '--n-max', '4', '--lambda', '2'])", set()),
-        ("from legscale.cli import main\nmain(['expand', 'scaled', '--n', '6', '--lambda', '2'])", {"json"}),
+        ("from legscale.cli import main\nmain(['expand', 'scaled', '--n', '6', '--lambda', '2'])", set()),
+        ("from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2'])", set()),
         (
-            "from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2'])",
-            {"json", "legscale.derivatives", "legscale.polynomials"},
+            "from legscale.cli import main\n"
+            "main(['expand', 'scaled', '--n', '6', '--lambda', '2', '--format', 'csv'])",
+            set(),
+        ),
+        (
+            "from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2', '--format', 'csv'])",
+            set(),
         ),
     ],
     ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "table a json",
-         "table alpha json", "verify csv", "table b", "expand scaled", "expand deriv"],
+         "table alpha json", "verify csv", "table b", "expand scaled", "expand deriv", "expand scaled csv",
+         "expand deriv csv"],
 )
 def test_light_paths_load_no_heavy_module(baseline, code, allowed):
     added = loaded_modules(code) - baseline
