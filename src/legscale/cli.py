@@ -268,9 +268,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         for flag, value in (("--lambda", args.lam), ("--form", args.form)):
             if value is not None:
                 raise UsageError(f"{flag} does not apply to derivative expansions")
-        values = _doha_alphas(args.n, args.k) if args.k <= args.n else []
-        key, keys = "degree", range(args.n - args.k, -1, -2)
-        head = f'"n": {args.n},\n  "k": {args.k},\n  "alphas"'
+        n, k = args.n, args.k  # at 1 <= k <= n the lead alpha is >= (2(n-k)+3)^(k-1)
+        if k <= n and (k - 1) * ((2 * (n - k) + 3).bit_length() - 1) >= _VALUE_LIMIT.bit_length():
+            raise UsageError(_TOO_LONG)
+        values = _doha_alphas(n, k) if k <= n else []
+        key, keys = "degree", range(n - k, -1, -2)
+        head = f'"n": {n},\n  "k": {k},\n  "alphas"'
     _check_printable(values)
     # a Fraction's str is format_rational's text
     if args.format == "csv":
@@ -298,23 +301,20 @@ def _verify_reports(args: argparse.Namespace) -> List[VerificationReport]:
     if args.seed is not None:
         lambdas = lambdas + verification.random_lambdas(RANDOM_LAMBDA_COUNT, args.seed)
     replay_lambdas = tuple(v for v in lambdas if v != 0)
-    wanted = ("eq9", "eq13", "eq19", "eq26", "replay") if args.suite == "all" else (args.suite,)
+    wanted = SUITES[1:] if args.suite == "all" else (args.suite,)
     if "replay" in wanted and not replay_lambdas:  # refused before any suite runs
         raise UsageError("replay requires at least one nonzero lambda")
 
-    reports: List[VerificationReport] = []
-    for suite in wanted:
-        if suite == "eq9":
-            reports.append(verification.verify_scaling_identity(args.n_max, lambdas, FORM_DERIVATIVE))
-        elif suite == "eq13":
-            reports.append(verification.verify_scaling_identity(args.n_max, lambdas, FORM_LEGENDRE))
-        elif suite == "eq19":
-            reports.append(verification.verify_derivative_identity(args.n_max))
-            reports.append(verification.verify_surplus_rows(args.n_max))
-        elif suite == "eq26":
-            reports.append(verification.verify_recurrence_vs_telescoping(args.n_max))
-        else:
-            reports.append(verification.verify_replay(args.n_max, replay_lambdas))
+    reports = [
+        verification.verify_scaling_identity(args.n_max, lambdas, form)
+        for suite, form in (("eq9", FORM_DERIVATIVE), ("eq13", FORM_LEGENDRE)) if suite in wanted
+    ]
+    # one (n, k) pass; eq19 brings eq24-rows, its solve's surplus rows
+    subjects = ("eq19", "eq24-rows") * ("eq19" in wanted) + ("eq26-vs-telescoping",) * ("eq26" in wanted)
+    if subjects:
+        reports += verification._derivative_reports(args.n_max, subjects)
+    if "replay" in wanted:
+        reports.append(verification.verify_replay(args.n_max, replay_lambdas))
     return reports
 
 

@@ -3,26 +3,13 @@
 Every check reconstructs a claimed expansion with generic polynomial
 machinery (basis construction, formal derivatives, argument scaling, exact
 integrals) and compares it coefficient by coefficient against an
-independently computed target. The scalar coefficient formulas
-(`a_coefficient`, `b_coefficient`, `alpha_*`) are never called here: the
-claims come from the integer cores that the public whole-expansion
-functions wrap (`scaling._derivative_form` and `_legendre_form`,
-`derivatives._telescoping`, `_triangular` and `_alpha_values`,
-`scaling._doha_alphas`), and the target side is built from polynomial
-primitives alone. Each suite is one check run over its cases by a single
-sweep driver, and the first failing case in sweep order is recorded with
-full coefficient dumps of both sides, since an index-convention slip is the
-likeliest failure and raw dumps localize it immediately. The driver counts
-the cases it checked.
-
-The checks run in Python integers: the eq9/eq13 reconstruction over one
-common denominator, the projection (`polynomials._projection`) and the
-surplus rows compared by cross-multiplying, the alpha routes as int lists,
-and the replay's binomial sum. A Fraction or a params dict is built only
-for a counterexample, so a passing case builds neither. A sweep reads P_m
-from one walk of the Bonnet rows, not a cache: eq9/eq13 share each n's
-basis and projection across lambdas, eq19/eq24-rows hand every solve one
-list of z-rows, and the replay sums only the binomial terms D^n keeps.
+independently computed target. The claims come from the integer cores that
+the public whole-expansion functions wrap, never from the scalar coefficient
+formulas (`a_coefficient`, `b_coefficient`, `alpha_*`), and the target side
+is built from polynomial primitives alone. One driver records each suite's
+first failing case in sweep order with full coefficient dumps of both sides:
+an index-convention slip is the likeliest failure, and raw dumps localize
+it. A passing case builds no Fraction.
 """
 
 from __future__ import annotations
@@ -130,35 +117,34 @@ def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
 
 
 def _report(
-    subject: str,
-    n_max: int,
-    cases: Iterable[tuple],
-    check: Callable[..., Optional[Counterexample]],
-    k_range: Optional[Tuple[int, int]],
-    lambdas: Optional[Tuple[Fraction, ...]] = None,
+    n_max: int, cases: Iterable[tuple], checks: Dict[str, Callable[..., object]],
+    k_range: Optional[Tuple[int, int]], lambdas: Optional[Tuple[Fraction, ...]] = None,
     details: Optional[Dict[str, object]] = None,
-) -> VerificationReport:
-    """Run `check` (one case's parameters -> None or a counterexample) over
-    `cases` (n = 0 ... n_max); report the first failure and the cases checked
-    up to it. `details` is read after the sweep, so `check` may record in it.
+) -> List[VerificationReport]:
+    """Run each subject's check (one case's parameters -> None, a
+    counterexample, or False for a case outside the subject's range) over one
+    stream of `cases` (n = 0 ... n_max); each subject stops at its first
+    failure and reports it and the cases it checked up to it. `details` is
+    read after the sweep, so a check may record in it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counterexample, count = None, 0
-    for count, params in enumerate(cases, 1):
-        counterexample = check(*params)
-        if counterexample is not None:
+    live, found, counts = dict(checks), {}, dict.fromkeys(checks, 0)
+    for params in cases:
+        for subject, check in list(live.items()):
+            outcome = check(*params)
+            if outcome is not False:
+                counts[subject] += 1
+                if outcome is not None:
+                    found[subject] = outcome
+                    del live[subject]
+        if not live:
             break
-    return VerificationReport(
-        subject=subject,
-        n_range=(0, n_max),
-        k_range=k_range,
-        lambdas=lambdas,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        details=details if details is not None else {},
-        cases=count,
-    )
+    return [
+        VerificationReport(subject, (0, n_max), k_range, lambdas, subject not in found, found.get(subject),
+                           dict(details or ()), counts[subject])
+        for subject in checks
+    ]
 
 
 def verify_scaling_identity(
@@ -215,7 +201,7 @@ def verify_scaling_identity(
         for lam in values
     )
     subject = "eq13" if legendre else "eq9"
-    return _report(subject, n_max, cases, check, (0, n_max // 2), values, details)
+    return _report(n_max, cases, {subject: check}, (0, n_max // 2), values, details)[0]
 
 
 def _legendre_polys(n_max: int) -> List[Poly]:
@@ -237,44 +223,6 @@ def _alphas_dump(alphas: Sequence[int], den: int = 1) -> Tuple[str, ...]:
     return tuple(format_rational(Fraction(a, den)) for a in alphas)
 
 
-def verify_derivative_identity(n_max: int) -> VerificationReport:
-    """Check all four derivative-expansion routes against formal derivatives.
-
-    For every 0 <= k <= n <= n_max the telescoping, triangular,
-    closed-recurrence and closed-form cores must agree coefficient by
-    coefficient (the triangular one, which holds 2^k alpha, against 2^k times
-    telescoping) and, rebuilt through the Legendre basis, must equal
-    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there
-    every route is empty and the derivative the zero polynomial.
-    """
-    legendre = _legendre_polys(n_max)
-    z_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)]
-
-    def check(n: int, k: int) -> Optional[Counterexample]:
-        tele = _telescoping(n, k)
-        routes = (
-            ("triangular", _triangular(n, k, z_rows), [a << k for a in tele], 2 ** k),
-            ("recurrence", _alpha_values(n, k, (n - k) // 2), tele, 1),
-            ("closed", _doha_alphas(n, k), tele, 1),
-        )
-        for name, alphas, expected, den in routes:
-            if alphas != expected:
-                return Counterexample(
-                    {"n": n, "k": k, "check": f"telescoping-vs-{name}"},
-                    _alphas_dump(tele),
-                    _alphas_dump(alphas, den),
-                )
-        parts = [legendre[n - k - 2 * i] for i in range(len(tele))]
-        rebuilt = _combination([(a, 1) for a in tele], parts)
-        expected = differentiate(legendre[n], k)
-        if rebuilt != expected:
-            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
-        return None
-
-    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 3))
-    return _report("eq19", n_max, cases, check, (0, n_max))
-
-
 def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
     """Coefficients z^0 ... z^(width-1) of p in powers of z, where x = 1 - 2z,
     as int numerators over one denominator: with p = sum_m N_m x^m / D,
@@ -293,29 +241,46 @@ def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
     return tuple(out), den
 
 
-def verify_surplus_rows(n_max: int) -> VerificationReport:
-    """Re-check the redundant rows of the coefficient-matching system.
-
-    The triangular solve determines one unknown per even offset; the
-    odd-offset rows are over-determined. Here both row sides are rebuilt
-    purely by polynomial substitution x = 1 - 2z and the solved alphas must
-    satisfy every such surplus row exactly. The z-row of each basis
-    polynomial P_m is substituted once per call; its entries are integers,
-    (-1)^j C(m,j) C(m+j,j), so a row's sum stays over the 2^k of the
-    triangular core and is compared by cross-multiplying.
+def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[VerificationReport]:
+    """The reports of `subjects` (eq19, eq24-rows, eq26-vs-telescoping) from one
+    pass over (n, k <= n, and n+1, n+2 for eq19) that runs each route once a
+    case, and only the routes, P_m and z-rows that a selected subject reads.
     """
-    legendre = _legendre_polys(n_max)
-    murphy_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)]  # the solve's; z_rows stay independent
-    z_rows = []  # P_m in powers of z by substitution
-    for m, p_m in enumerate(legendre):
+    telescope = not {"eq19", "eq26-vs-telescoping"}.isdisjoint(subjects)
+    solve = not {"eq19", "eq24-rows"}.isdisjoint(subjects)
+    legendre = _legendre_polys(n_max) if solve else []
+    murphy_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)] if solve else []
+    z_rows = []  # eq24-rows' own: P_m in powers of z by substitution
+    for m, p_m in enumerate(legendre if "eq24-rows" in subjects else ()):
         nums, den = _z_form(p_m, m + 1)
         if any(c % den for c in nums):
             raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
         z_rows.append([c // den for c in nums])
 
-    def check(n: int, k: int) -> Optional[Counterexample]:
+    def derivative(n, k, tele, scaled, recur):  # the int alphas of telescoping, 2^k triangular, recurrence
+        routes = (
+            ("triangular", scaled, [a << k for a in tele], 2 ** k),
+            ("recurrence", recur, tele, 1),
+            ("closed", _doha_alphas(n, k), tele, 1),
+        )
+        for name, claimed, expected, den in routes:
+            if claimed != expected:
+                return Counterexample(
+                    {"n": n, "k": k, "check": f"telescoping-vs-{name}"},
+                    _alphas_dump(tele),
+                    _alphas_dump(claimed, den),
+                )
+        parts = [legendre[n - k - 2 * i] for i in range(len(tele))]
+        rebuilt = _combination([(a, 1) for a in tele], parts)
+        expected = differentiate(legendre[n], k)
+        if rebuilt != expected:
+            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
+        return None
+
+    def surplus(n, k, tele, scaled, recur):
+        if k > n:
+            return False
         big_n = n - k
-        scaled = _triangular(n, k, murphy_rows)  # 2^k alpha_i
         lhs, lhs_den = _z_form(differentiate(legendre[n], k), big_n + 1)
         rows = [z_rows[m] for m in range(big_n, -1, -2)]
         for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
@@ -329,16 +294,9 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
                 )
         return None
 
-    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 1))
-    return _report("eq24-rows", n_max, cases, check, (0, n_max))
-
-
-def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
-    """Cross-check the closed recurrence against the telescoping route."""
-
-    def check(n: int, k: int) -> Optional[Counterexample]:
-        tele = _telescoping(n, k)
-        recur = _alpha_values(n, k, (n - k) // 2)
+    def recurrence(n, k, tele, scaled, recur):
+        if k > n:
+            return False
         if tele != recur:
             return Counterexample(
                 {"n": n, "k": k, "check": "recurrence-vs-telescoping"},
@@ -347,8 +305,46 @@ def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
             )
         return None
 
-    cases = ((n, k) for n in range(n_max + 1) for k in range(n + 1))
-    return _report("eq26-vs-telescoping", n_max, cases, check, (0, n_max))
+    cases = (
+        (n, k, _telescoping(n, k) if telescope else None, _triangular(n, k, murphy_rows) if solve else None,
+         _alpha_values(n, k, (n - k) // 2) if telescope else None)
+        for n in range(n_max + 1)
+        for k in range(n + 1 + 2 * ("eq19" in subjects))
+    )
+    checks = {"eq19": derivative, "eq24-rows": surplus, "eq26-vs-telescoping": recurrence}
+    return _report(n_max, cases, {subject: checks[subject] for subject in subjects}, (0, n_max))
+
+
+def verify_derivative_identity(n_max: int) -> VerificationReport:
+    """Check all four derivative-expansion routes against formal derivatives.
+
+    For every 0 <= k <= n <= n_max the telescoping, triangular,
+    closed-recurrence and closed-form cores must agree coefficient by
+    coefficient (the triangular one, which holds 2^k alpha, against 2^k times
+    telescoping) and, rebuilt through the Legendre basis, must equal
+    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there
+    every route is empty and the derivative the zero polynomial.
+    """
+    return _derivative_reports(n_max, ("eq19",))[0]
+
+
+def verify_surplus_rows(n_max: int) -> VerificationReport:
+    """Re-check the redundant rows of the coefficient-matching system.
+
+    The triangular solve determines one unknown per even offset; the
+    odd-offset rows are over-determined. Here both row sides are rebuilt
+    purely by polynomial substitution x = 1 - 2z and the solved alphas must
+    satisfy every such surplus row exactly. The z-row of each basis
+    polynomial P_m is substituted once per call; its entries are integers,
+    (-1)^j C(m,j) C(m+j,j), so a row's sum stays over the 2^k of the
+    triangular core and is compared by cross-multiplying.
+    """
+    return _derivative_reports(n_max, ("eq24-rows",))[0]
+
+
+def verify_recurrence_vs_telescoping(n_max: int) -> VerificationReport:
+    """Cross-check the closed recurrence against the telescoping route."""
+    return _derivative_reports(n_max, ("eq26-vs-telescoping",))[0]
 
 
 def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
@@ -397,7 +393,7 @@ def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS)
         return None
 
     cases = ((n, lam) for n in range(n_max + 1) for lam in values)
-    return _report("replay", n_max, cases, check, None, values)
+    return _report(n_max, cases, {"replay": check}, None, values)[0]
 
 
 def random_lambdas(count: int, seed: int) -> Tuple[Fraction, ...]:

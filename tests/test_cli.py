@@ -17,7 +17,7 @@ import legscale.verify
 from legscale import deriv_expand_closed, expand_derivative_form, expand_legendre_form, legendre_bonnet
 from legscale.cli import format_decimal, main
 from legscale.rationals import format_rational
-from legscale.scaling import _a_rows
+from legscale.scaling import _a_rows, _doha_alphas
 
 
 def run_cli(capsys, *argv):
@@ -276,9 +276,9 @@ class TestVerify:
         # P_n, basis, projection and replay target reads that walk, so the
         # walks of `_bonnet_rows` depend neither on how many lambdas are
         # swept at each n nor on n_max: eq13 at n_max 12 walks once, and
-        # `verify all` once for each of eq9, eq13, eq19, eq24-rows and
-        # replay (eq26 reads no P_m). No sweep reads the `legendre_bonnet`
-        # cache: it stays empty, with no hit and no miss.
+        # `verify all` once for each of eq9, eq13 and replay and once for the
+        # one pass of eq19, eq24-rows and eq26. No sweep reads the
+        # `legendre_bonnet` cache: it stays empty, with no hit and no miss.
         real = legscale.polynomials._bonnet_rows
 
         def walks_for(suite, *lambda_args):
@@ -302,7 +302,7 @@ class TestVerify:
         assert err == "eq13                    pass  351 cases\n"  # 27 lambdas, n <= 12
         one, _ = walks_for("eq13", "--lambda", "7/3")
         assert many == one == 1
-        assert walks_for("all", "--seed", "1")[0] == walks_for("all", "--lambda", "7/3")[0] == 5
+        assert walks_for("all", "--seed", "1")[0] == walks_for("all", "--lambda", "7/3")[0] == 4
 
     def test_degenerate_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "eq19", "--n-max", "0")
@@ -380,12 +380,74 @@ class TestVerify:
         assert out == buffer.getvalue()
         assert '""' in out
 
+    def test_derivative_suites_share_one_pass(self, capsys, monkeypatch):
+        # eq19 and eq24-rows read one triangular solve per (n, k), over z-rows
+        # built once per run; eq26 alone reads no P_m and makes no solve.
+        calls = {}
+
+        def counting(name):
+            real, log = getattr(legscale.verify, name), calls.setdefault(name, [])
+
+            def wrapper(*args):
+                log.append(args)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_triangular", "_murphy_scaled", "_bonnet_rows"):
+            monkeypatch.setattr(legscale.verify, name, counting(name))
+        code, _, err = run_cli(capsys, "verify", "eq19", "--n-max", "20")
+        assert code == 0
+        assert err == "eq19                    pass  273 cases\neq24-rows               pass  231 cases\n"
+        assert [(n, k) for n, k, _ in calls["_triangular"]] == [(n, k) for n in range(21) for k in range(n + 3)]
+        assert len(calls["_bonnet_rows"]) == 1 and len(calls["_murphy_scaled"]) == 21
+        for log in calls.values():
+            log.clear()
+        code, _, err = run_cli(capsys, "verify", "eq26", "--n-max", "20")
+        assert (code, err) == (0, "eq26-vs-telescoping     pass  231 cases\n")
+        assert calls == {"_triangular": [], "_murphy_scaled": [], "_bonnet_rows": []}
+
+    @pytest.mark.parametrize("corruption, argv, digest, err", [
+        ("z-row", ("all",), "65a7bc512aea5cf1a6d2c22ad67007e629cd1dcbb1d95c019606ac237a30254d",
+         "eq9 pass 91|eq13 pass 91|eq19 pass 117|eq24-rows fail 7|eq26-vs-telescoping pass 91|replay pass 78"),
+        ("recurrence", ("all",), "fde86934f88b40d38e6949b6a92afc602d710182588fb17b8ec9c8292c565201",
+         "eq9 pass 91|eq13 pass 91|eq19 fail 28|eq24-rows pass 91|eq26-vs-telescoping fail 18|replay pass 78"),
+        ("combination", ("eq19", "--format", "csv"),
+         "a4f5522811c6da0a1973f5ea712e445a5b8591b624bd8b4433b4de5faf0c2683", "eq19 fail 13|eq24-rows pass 91"),
+    ])
+    def test_corruption_seen_by_one_suite_keeps_the_pinned_report(self, capsys, monkeypatch, corruption, argv,
+                                                                  digest, err):
+        # Each corruption reaches one route that the suites of the derivative
+        # pass read differently; the report bytes and the case counts are
+        # pinned from the separate sweeps that the pass replaced.
+        name = {"z-row": "_z_form", "recurrence": "_alpha_values", "combination": "_combination"}[corruption]
+        real, done = getattr(legscale.verify, name), []
+
+        def corrupted(*args):
+            out = real(*args)
+            if corruption == "z-row" and args[1] == 4 and not done:  # eq24-rows' own z-row of P_3, z^2 + 1
+                done.append(args)
+                nums, den = out
+                return nums[:2] + (nums[2] + den,) + nums[3:], den
+            if corruption == "recurrence" and args[:2] == (5, 2):
+                return [out[0] + 1] + out[1:]
+            if corruption == "combination" and len(args[1]) == 2 and args[1][0].degree == 3:  # n - k = 3
+                return out + legscale.polynomials.Poly.one()
+            return out
+
+        monkeypatch.setattr(legscale.verify, name, corrupted)
+        code, out, stderr = run_cli(capsys, "verify", argv[0], "--n-max", "12", *argv[1:])
+        assert code == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert stderr == "".join(f"{s:<24}{status}  {cases} cases\n" for s, status, cases in (
+            line.split() for line in err.split("|")))
+
     def test_all_suite_refuses_zero_lambdas_before_any_suite_runs(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        for name in ("verify_scaling_identity", "verify_derivative_identity", "verify_surplus_rows",
-                     "verify_recurrence_vs_telescoping", "verify_replay"):
+        for name in ("verify_scaling_identity", "_derivative_reports", "verify_derivative_identity",
+                     "verify_surplus_rows", "verify_recurrence_vs_telescoping", "verify_replay"):
             monkeypatch.setattr(legscale.verify, name, refuse)
         code, out, err = run_cli(capsys, "verify", "all", "--n-max", "80", "--lambda", "0")
         assert (code, out) == (2, "")
@@ -575,7 +637,9 @@ class TestOversizedExactValues:
 
 class TestEarlyPowerRefusal:
     """lam^n = p^n/q^n is printed (a_0 = b_0 of degree n), so when it is too
-    long `table a|b` and `expand scaled` exit 2 before expanding anything."""
+    long `table a|b` and `expand scaled` exit 2 before expanding anything.
+    `expand deriv` prints a lead alpha of at least (2(n-k)+3)^(k-1) and exits
+    2 before computing any alpha when that bound is too long."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -584,8 +648,10 @@ class TestEarlyPowerRefusal:
             ("table", "b", "--n-max", "1000000000", "--lambda", "-1/7"),
             ("expand", "scaled", "--n", "5000", "--lambda", "7"),
             ("expand", "scaled", "--form", "derivative", "--n", "5000", "--lambda", "7", "--format", "csv"),
+            ("expand", "deriv", "--n", "60000", "--k", "30000"),
         ],
-        ids=["table-a-n1e9", "table-b-n1e9", "expand-legendre-n5000", "expand-derivative-n5000"],
+        ids=["table-a-n1e9", "table-b-n1e9", "expand-legendre-n5000", "expand-derivative-n5000",
+             "expand-deriv-n60000"],
     )
     def test_refused_within_seconds(self, argv):
         self.assert_refused(argv, timeout=5)
@@ -607,6 +673,24 @@ class TestEarlyPowerRefusal:
         )
         assert (result.returncode, result.stdout) == (2, "")
         assert "more than 4000 digits" in result.stderr
+
+    @pytest.mark.parametrize("n, k, computed", [
+        (60000, 30000, False), (3000, 1500, False),
+        # on the diagonal the bound is 3^(k-1) >= 2^(k-1): first refused up front
+        # at k - 1 = 13288, the bit length of 10^4000; (2k-1)!! is refused anyway
+        (13289, 13289, False), (13288, 13288, True),
+    ])
+    def test_deriv_refused_before_any_alpha(self, capsys, monkeypatch, n, k, computed):
+        real, calls = legscale.cli._doha_alphas, []
+        monkeypatch.setattr(legscale.cli, "_doha_alphas", lambda *args: calls.append(args) or real(*args))
+        code, out, err = run_cli(capsys, "expand", "deriv", "--n", str(n), "--k", str(k))
+        assert (code, out, err) == (2, "", "error: a value to print has more than 4000 digits\n")
+        assert calls == ([(n, k)] if computed else [])
+
+    def test_deriv_lead_alpha_bound(self):
+        for n in range(61):
+            for k in range(1, n + 1):
+                assert _doha_alphas(n, k)[0] >= (2 * (n - k) + 3) ** (k - 1), (n, k)
 
     @staticmethod
     def refuses(lam, n):
