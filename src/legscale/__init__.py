@@ -46,7 +46,7 @@ _EXPORTS = {
     )
     for name in names
 }
-_SUBMODULES = ("rationals", "polynomials", "derivatives", "scaling", "verify", "cli")
+_SUBMODULES = ("rationals", "polynomials", "derivatives", "scaling", "verify", "cli", "output")
 
 __all__ = list(_EXPORTS)
 

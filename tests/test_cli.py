@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import legscale.cli
+import legscale.output
 import legscale.verify
 from legscale import deriv_expand_closed, expand_derivative_form, expand_legendre_form, legendre_bonnet
 from legscale.cli import format_decimal, main
@@ -367,7 +368,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "5", "--format", "csv")
         assert code == 1
         args = legscale.cli.build_parser().parse_args(["verify", suite, "--n-max", "5"])
-        reports = legscale.cli._verify_reports(args)
+        reports = legscale.output._verify_reports(args)
         assert any(r.counterexample for r in reports)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -681,8 +682,8 @@ class TestEarlyPowerRefusal:
         (13289, 13289, False), (13288, 13288, True),
     ])
     def test_deriv_refused_before_any_alpha(self, capsys, monkeypatch, n, k, computed):
-        real, calls = legscale.cli._doha_alphas, []
-        monkeypatch.setattr(legscale.cli, "_doha_alphas", lambda *args: calls.append(args) or real(*args))
+        real, calls = legscale.output._doha_alphas, []
+        monkeypatch.setattr(legscale.output, "_doha_alphas", lambda *args: calls.append(args) or real(*args))
         code, out, err = run_cli(capsys, "expand", "deriv", "--n", str(n), "--k", str(k))
         assert (code, out, err) == (2, "", "error: a value to print has more than 4000 digits\n")
         assert calls == ([(n, k)] if computed else [])
@@ -695,7 +696,7 @@ class TestEarlyPowerRefusal:
     @staticmethod
     def refuses(lam, n):
         try:
-            legscale.cli._check_lambda_power(lam, n)
+            legscale.output._check_lambda_power(lam, n)
         except legscale.cli.UsageError:
             return True
         return False
@@ -857,7 +858,7 @@ class TestTableBits:
                 argv = ("table", kind, "--n-max", str(n_max)) + (("--lambda", lam) if lam else ())
                 code, out, _ = run_cli(capsys, *argv)
                 assert code == 0, argv
-                bits = legscale.cli._table_bits(kind, Fraction(lam) if lam else None, n_max)
+                bits = legscale.output._table_bits(kind, Fraction(lam) if lam else None, n_max)
                 widest = max(int(part).bit_length()
                              for line in out.splitlines()[1:] for part in line.rsplit(",", 1)[1].split("/"))
                 assert widest <= bits, (argv, widest, bits)
@@ -874,14 +875,14 @@ class TestTableBits:
         ids=["a", "a-json", "alpha", "a-long-lambda", "b-long-lambda"],
     )
     def test_rows_are_walked_again_only_near_the_print_limit(self, capsys, monkeypatch, argv, walks):
-        made = legscale.cli._table_rows
+        made = legscale.output._table_rows
         calls = []
 
         def spy(*args):
             calls.append(args)
             return made(*args)
 
-        monkeypatch.setattr(legscale.cli, "_table_rows", spy)
+        monkeypatch.setattr(legscale.output, "_table_rows", spy)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
         assert len(calls) == walks
@@ -890,17 +891,17 @@ class TestTableBits:
         # The rows of b are independent and B bounds every degree up to its
         # n_max, so only degrees whose own B reaches the limit are guarded:
         # here just n = 40, where the guard used to make all 41 rows twice.
-        made = legscale.cli.expand_legendre_form
+        made = legscale.output.expand_legendre_form
         degrees = []
 
         def spy(lam, n):
             degrees.append(n)
             return made(lam, n)
 
-        monkeypatch.setattr(legscale.cli, "expand_legendre_form", spy)
+        monkeypatch.setattr(legscale.output, "expand_legendre_form", spy)
         lam = "1/" + "9" * 99
         limit = legscale.cli._VALUE_LIMIT.bit_length()
-        bits = [legscale.cli._table_bits("b", Fraction(lam), n) for n in (39, 40)]
+        bits = [legscale.output._table_bits("b", Fraction(lam), n) for n in (39, 40)]
         assert bits[0] < limit <= bits[1]
         code, out, _ = run_cli(capsys, "table", "b", "--n-max", "40", "--lambda", lam)
         assert code == 0 and out  # its text is in GOLDEN_STDOUT
@@ -1021,6 +1022,22 @@ GOLDEN_STDOUT = {
 }
 
 
+# Exit code and sha256 of the help text (stdout) and of one argparse error per
+# command (stderr), at 80 columns; recorded before `table`, `expand` and
+# `verify` moved out of `cli`.
+GOLDEN_USAGE = {
+    ("--help",): (0, "e99fa472d7fc2ead7307d01a4a44cc47dd4aaee7dcf7a482eda11fdba742f64a"),
+    ("table", "--help"): (0, "b41ed313f6d1f6f1b7d535531c97662283e053b6ccb37913b99189a16b5f9a2f"),
+    ("expand", "--help"): (0, "1283338e4d2aa2ec992516f790f5bfa86e29e392f061182a040008bd25ccb104"),
+    ("verify", "--help"): (0, "a72abdb30fb8fc1e0ecc29aba3e0bc96a356410a9f165967c8d433d828adc796"),
+    ("eval", "--help"): (0, "ade98beec188a6c8e38962e2bef8581c85e94115104377ab1ed153f059b88e11"),
+    ("table", "a"): (2, "7c2503e1605e9b233f9c5169134dc710f32d9cdd1e662f7695cbad9115ab19f1"),
+    ("expand", "scaled"): (2, "aa1a6ed92ae77e0fedaf5701d1d36d1ca2125a6c4aa05f283cba294fc2992960"),
+    ("verify", "--n-max=-1"): (2, "085a3e993a26586ff00b3e5333a65e858dd05de4c34f7d3cf088411f8f4307b6"),
+    ("eval", "--n", "2"): (2, "4bcfae54b8e52759e840f42193f7a5045d06043d31cae33b78beb01f4af33048"),
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv", list(GOLDEN_STDOUT),
@@ -1031,21 +1048,44 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
 
+    @pytest.mark.parametrize("argv", list(GOLDEN_USAGE), ids=" ".join)
+    def test_help_and_usage_errors_are_byte_identical(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+        code, out, err = run_cli(capsys, *argv)
+        text, other = (err, out) if code else (out, err)
+        assert (code, other) == (GOLDEN_USAGE[argv][0], "")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_USAGE[argv][1]
+
 
 class TestModuleEntryPoints:
     README_TABLE_B = "n,k,value\n0,0,1\n1,0,2\n2,0,4\n2,1,3/2\n"
+    # One usage error per command: `table`, `expand` and `verify` raise theirs
+    # in `legscale.output`, which `main` must still map to exit 2 when `cli`
+    # itself is run as `__main__`.
+    USAGE_ERRORS = {
+        ("table", "a", "--n-max", "3"): "error: --lambda is required for kind 'a'\n",
+        ("expand", "deriv", "--n", "3"): "error: --k is required for derivative expansions\n",
+        ("verify", "eq26", "--seed", "1"): "error: --seed does not apply to suite 'eq26'\n",
+        ("eval", "--n", "2", "--lambda", "2", "--x", "zz"): "error: invalid evaluation point: 'zz'\n",
+    }
 
-    @pytest.mark.parametrize("module", ["legscale", "legscale.cli"])
-    def test_python_dash_m_runs_the_cli(self, module):
+    @staticmethod
+    def run_module(module, *argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        result = subprocess.run(
-            [sys.executable, "-m", module, "table", "b", "--lambda", "2", "--n-max", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, check=False
         )
+
+    @pytest.mark.parametrize("module", ["legscale", "legscale.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        result = self.run_module(module, "table", "b", "--lambda", "2", "--n-max", "2")
         assert result.returncode == 0, result.stderr
         assert result.stdout == self.README_TABLE_B
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("module", ["legscale", "legscale.cli"])
+    def test_python_dash_m_maps_usage_errors_to_exit_2(self, module, argv):
+        result = self.run_module(module, *argv)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", self.USAGE_ERRORS[argv])

@@ -13,15 +13,17 @@ import legscale
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Modules a light command must not load: `dataclasses` pulls in `inspect`
-# and `ast`; `json` and `csv` serve output formats (`table` and `expand`
-# write theirs as text); `verify`, `derivatives` and `polynomials` serve
-# other commands (`eval` evaluates by scalar recurrences, `table` and
-# `expand` compute coefficients only).
-HEAVY = {
-    "dataclasses", "inspect", "json", "csv",
-    "legscale.verify", "legscale.derivatives", "legscale.polynomials",
-}
+# Stdlib modules a light command must not load: `dataclasses` pulls in
+# `inspect` and `ast`; `json` and `csv` serve output formats (`table` and
+# `expand` write theirs as text).
+HEAVY = {"dataclasses", "inspect", "json", "csv"}
+
+# The legscale modules each command loads: `eval` evaluates by scalar
+# recurrences and compiles no other command, `table` and `expand` compute
+# coefficients only, in `output`, and `verify` runs the sweeps.
+CLI = {"legscale", "legscale.cli", "legscale.rationals", "legscale.scaling"}
+OUTPUT = CLI | {"legscale.output"}
+VERIFY = OUTPUT | {"legscale.polynomials", "legscale.derivatives", "legscale.verify"}
 
 
 def loaded_modules(code: str) -> set:
@@ -41,55 +43,37 @@ def baseline():
     return loaded_modules("pass")
 
 
+def invoke(*argv):
+    return f"from legscale.cli import main\nmain({list(argv)!r})"
+
+
 @pytest.mark.parametrize(
-    "code, allowed",
+    "code, allowed, modules",
     [
-        ("import legscale.cli", set()),
-        (
-            "from legscale.cli import main\n"
-            "main(['eval', '--method', 'direct', '--n', '5', '--lambda', '7/3', '--x', '3/8'])",
-            set(),
-        ),
+        ("import legscale.cli", set(), CLI),
         *(
-            (
-                "from legscale.cli import main\n"
-                f"main(['eval', '--method', '{method}', '--n', '9', '--lambda', '7/3', '--x', '3/8'])",
-                set(),
-            )
-            for method in ("a-form", "b-form")
+            (invoke("eval", "--method", method, "--n", "9", "--lambda", "7/3", "--x", "3/8"), set(), CLI)
+            for method in ("direct", "a-form", "b-form")
         ),
-        ("from legscale.cli import main\nmain(['table', 'a', '--n-max', '4', '--lambda', '2'])", set()),
-        ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4'])", set()),
-        (
-            "from legscale.cli import main\n"
-            "main(['table', 'a', '--lambda', '2', '--n-max', '4', '--format', 'json'])",
-            set(),
-        ),
-        ("from legscale.cli import main\nmain(['table', 'alpha', '--n-max', '4', '--format', 'json'])", set()),
-        (
-            "from legscale.cli import main\nmain(['verify', 'eq26', '--n-max', '3', '--format', 'csv'])",
-            {"json", "legscale.verify", "legscale.derivatives", "legscale.polynomials"},
-        ),
-        ("from legscale.cli import main\nmain(['table', 'b', '--n-max', '4', '--lambda', '2'])", set()),
-        ("from legscale.cli import main\nmain(['expand', 'scaled', '--n', '6', '--lambda', '2'])", set()),
-        ("from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2'])", set()),
-        (
-            "from legscale.cli import main\n"
-            "main(['expand', 'scaled', '--n', '6', '--lambda', '2', '--format', 'csv'])",
-            set(),
-        ),
-        (
-            "from legscale.cli import main\nmain(['expand', 'deriv', '--n', '6', '--k', '2', '--format', 'csv'])",
-            set(),
-        ),
+        (invoke("table", "a", "--n-max", "4", "--lambda", "2"), set(), OUTPUT),
+        (invoke("table", "alpha", "--n-max", "4"), set(), OUTPUT),
+        (invoke("table", "a", "--lambda", "2", "--n-max", "4", "--format", "json"), set(), OUTPUT),
+        (invoke("table", "alpha", "--n-max", "4", "--format", "json"), set(), OUTPUT),
+        (invoke("verify", "eq26", "--n-max", "3", "--format", "csv"), {"json"}, VERIFY),
+        (invoke("table", "b", "--n-max", "4", "--lambda", "2"), set(), OUTPUT),
+        (invoke("expand", "scaled", "--n", "6", "--lambda", "2"), set(), OUTPUT),
+        (invoke("expand", "deriv", "--n", "6", "--k", "2"), set(), OUTPUT),
+        (invoke("expand", "scaled", "--n", "6", "--lambda", "2", "--format", "csv"), set(), OUTPUT),
+        (invoke("expand", "deriv", "--n", "6", "--k", "2", "--format", "csv"), set(), OUTPUT),
     ],
     ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "table a json",
          "table alpha json", "verify csv", "table b", "expand scaled", "expand deriv", "expand scaled csv",
          "expand deriv csv"],
 )
-def test_light_paths_load_no_heavy_module(baseline, code, allowed):
+def test_light_paths_load_no_heavy_module(baseline, code, allowed, modules):
     added = loaded_modules(code) - baseline
     assert not added & (HEAVY - allowed), sorted(added)
+    assert {m for m in added if m.split(".")[0] == "legscale"} == modules
 
 
 def test_package_import_loads_no_submodule(baseline):
