@@ -340,9 +340,9 @@ def legendre_bonnet(n: int) -> Poly:
     Runs in integers on R_m = 2^m P_m, which obeys
     (m+1) R_{m+1} = 2(2m+1) x R_m - 4m R_{m-1} with R_0 = 1, R_1 = 2x and
     an exact division by m+1; P_n is the last row over 2^n. The most recent
-    BONNET_CACHE_SIZE degrees are cached for direct callers and `to_poly`
-    (`cache_clear()` empties it); sweeps walk `_bonnet_rows` instead. Poly
-    is immutable, so sharing results across callers and threads is safe.
+    BONNET_CACHE_SIZE degrees are cached for direct callers (`cache_clear()`
+    empties it); `to_poly`, the projection and the sweeps walk `_bonnet_rows`.
+    Poly is immutable, so sharing results across callers and threads is safe.
     """
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
@@ -504,8 +504,9 @@ def _combination(weights: Iterable[Tuple[int, int]], parts: Sequence[Poly]) -> P
 
 
 def to_poly(series: LegendreSeries) -> Poly:
-    """Rebuild sum_m c_m * P_m as a dense polynomial (one integer combination)."""
-    return _combination(
-        [(c.numerator, c.denominator) for _, c in series.items()],
-        [legendre_bonnet(m) for m in series.degrees()],
-    )
+    """Rebuild sum_m c_m * P_m as a dense polynomial: one integer combination of
+    the P_m read from one walk of the Bonnet rows up to the top degree."""
+    terms = series._terms  # ascending degrees
+    rows = zip(range(max(terms, default=-1) + 1), _bonnet_rows())
+    weights = [(c.numerator, c.denominator) for c in terms.values()]
+    return _combination(weights, [_bonnet_poly(m, row) for m, row in rows if m in terms])

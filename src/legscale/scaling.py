@@ -21,16 +21,14 @@ wrap the integer cores `_derivative_form` and `_legendre_form`, read by `verify`
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
-P_n(0) is reachable). Basis values at a point come from integer
-recurrences (`_basis_values`); the basis polynomials themselves are
-`polynomials.expansion_basis`, and nothing here imports `polynomials`.
+P_n(0) is reachable). `_basis_values` evaluates either basis at a point by
+one integer recurrence; the basis polynomials are `polynomials.expansion_basis`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, perm
 from typing import Iterable, Iterator, List, Tuple
 
 from .rationals import RationalLike, Record, _parse_index, as_rational, format_rational, parse_rational
@@ -99,32 +97,31 @@ class ScalingExpansion(Record):
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
 
 
-def _ultraspherical(k: int, s: int, t: int) -> Iterator[int]:
-    """W_j = j! t^j C^(k+1/2)_j(s/t), j = 0, 1, ..., by the ultraspherical
-    recurrence (DLMF 18.9) times (j-1)! t^j: W_0 = 1, W_1 = (2k+1) s and
-    W_j = (2j+2k-1) s W_{j-1} - (j-1)(j+2k-1) t^2 W_{j-2}. At k = 0 it is
-    Bonnet's recurrence for V_m = m! t^m P_m(s/t), since C^(1/2)_m = P_m."""
-    prev, cur, t2 = 0, 1, t * t
-    for j in count(1):
-        yield cur
-        prev, cur = cur, (2 * j + 2 * k - 1) * s * cur - (j - 1) * (j + 2 * k - 1) * t2 * prev
-
-
 def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator[Tuple[int, Fraction]]:
     """(k, the basis polynomial of ``coeffs[k]`` at x) for each k of `ks`, one
-    Fraction each, from `_ultraspherical`: d^k P_{n-k}(x) is (2k-1)!! times
-    C^(k+1/2)_{n-2k}(x), one run per k; every P_{n-2k}(x) comes from one run."""
+    Fraction N_m / (m! t^m) each (x = s/t, m = n-2k), from one integer recurrence
+    per form up the degrees m: Bonnet's for V_m = m! t^m P_m(x), and for
+    F_m = m! t^m d^k P_{n-k}(x) a contiguous relation (DLMF 15.5(ii), 18.9) in
+    steps of 2 from the product of the odd numbers up to n, with no division."""
     s, t = x.numerator, x.denominator
+    s2, t2 = s * s, t * t
+    wanted = {n - 2 * k: k for k in ks}  # degree m -> k
+    top = max(wanted, default=-1)
     if form == FORM_DERIVATIVE:
-        for k in ks:
-            m = n - 2 * k
-            w = next(islice(_ultraspherical(k, s, t), m, None))
-            yield k, Fraction(prod(range(1, 2 * k, 2)) * w, factorial(m) * t ** m)
+        c = (n + 1) // 2  # F_{n%2} = 1 * 3 * ... * (2c-1) s^(n%2), the odd run as (2c)! / (c! 2^c)
+        f, f_down = (perm(2 * c, c) >> c) * s ** (n % 2), 0  # F_m, F_{m-2}
+        for m in range(n % 2, top + 1, 2):
+            if m in wanted:
+                yield wanted[m], Fraction(f, factorial(m) * t ** m)
+            if m < top:
+                f, f_down = ((n + m + 1) * s2 - (2 * m + 1) * t2) * f + m * (m - 1) * t2 * (s2 - t2) * f_down, f
         return
-    wanted = {n - 2 * k: k for k in ks}  # degree -> k
-    for m, v in zip(range(max(wanted, default=-1) + 1), _ultraspherical(0, s, t)):
+    v, v_down = 1, 0  # V_m, V_{m-1}
+    for m in range(top + 1):
         if m in wanted:
             yield wanted[m], Fraction(v, factorial(m) * t ** m)
+        if m < top:
+            v, v_down = (2 * m + 1) * s * v - m * m * t2 * v_down, v
 
 
 def _a_rows(lam: Fraction, n_max: int) -> Iterator[List[Tuple[int, int]]]:

@@ -505,22 +505,22 @@ class TestEval:
 
     def test_zero_weights_build_no_basis(self, capsys, monkeypatch):
         # At lambda = 1 only a_0 is nonzero; evaluating d^k P_{n-k} for the
-        # zero weights made a-form 25 times slower at n = 150. Each a-form
-        # basis value is one recurrence run for its k.
-        runs = []
-        real = legscale.scaling._ultraspherical
+        # zero weights made a-form 25 times slower at n = 150. `eval` asks the
+        # basis for the ks of nonzero weight only.
+        asked = []
+        real = legscale.cli._basis_values
 
-        def spy(k, s, t):
-            runs.append(k)
-            return real(k, s, t)
+        def spy(form, n, x, ks):
+            asked.append(list(ks))
+            return real(form, n, x, asked[-1])
 
-        monkeypatch.setattr(legscale.scaling, "_ultraspherical", spy)
+        monkeypatch.setattr(legscale.cli, "_basis_values", spy)
         code, out, _ = run_cli(
             capsys, "eval", "--n", "9", "--lambda", "1", "--x", "1/3", "--method", "a-form"
         )
         assert code == 0
         assert out == format_decimal(legendre_bonnet(9).evaluate(Fraction(1, 3)), 12) + "\n"
-        assert runs == [0]
+        assert asked == [[0]]
 
     @pytest.mark.parametrize("method", ["a-form", "b-form"])
     def test_basis_comes_from_one_bonnet_walk(self, capsys, monkeypatch, method):

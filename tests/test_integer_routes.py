@@ -15,13 +15,15 @@ next. The rows of `table a`, built by a_k(n+1) = lam * a_k(n), and of
 now running sums over one parity, is checked against its dict-per-pass
 form, and the `LegendreSeries` constructor against the one that added to
 Fraction(0) for every term. The scalar recurrences behind `eval` are
-checked against the `Poly` route they replaced: Bonnet polynomials and
-their derivatives, evaluated by Horner. Each public expansion, alpha route
-and the projection is pinned against the integer core that `verify` reads,
-and the stepped binomials of `_z_form` against `math.comb`.
+checked against the `Poly` route they replaced (Bonnet polynomials and
+their derivatives, evaluated by Horner), and the derivative-form walk along
+k against the per-k ultraspherical runs it replaced. Each public expansion,
+alpha route and the projection is pinned against the integer core that
+`verify` reads, and the stepped binomials of `_z_form` against `math.comb`.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial, prod
 
 import pytest
@@ -64,9 +66,7 @@ from legscale.cli import main
 from legscale.derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
 from legscale.rationals import as_rational, format_rational
 from legscale.polynomials import _bonnet_poly, _bonnet_rows, _projection
-from legscale.scaling import (
-    _a_rows, _basis_values, _derivative_form, _doha_alphas, _legendre_form, _ultraspherical
-)
+from legscale.scaling import _a_rows, _basis_values, _derivative_form, _doha_alphas, _legendre_form
 from legscale.verify import _combination, _z_form
 
 # --- reference models ---
@@ -584,28 +584,67 @@ def bonnet_polys():
     return [_bonnet_poly(m, row) for m, row in zip(range(151), _bonnet_rows())]
 
 
+def ultraspherical(k, s, t):
+    """W_j = j! t^j C^(k+1/2)_j(s/t), j = 0, 1, ..., by the ultraspherical
+    recurrence (DLMF 18.9) times (j-1)! t^j: W_0 = 1, W_1 = (2k+1) s and
+    W_j = (2j+2k-1) s W_{j-1} - (j-1)(j+2k-1) t^2 W_{j-2}. At k = 0 it is
+    Bonnet's recurrence for m! t^m P_m(s/t), since C^(1/2)_m = P_m. `eval` ran
+    it once per k before it stepped d^k P_{n-k} along k; here it is the oracle."""
+    prev, cur, t2 = 0, 1, t * t
+    for j in count(1):
+        yield cur
+        prev, cur = cur, (2 * j + 2 * k - 1) * s * cur - (j - 1) * (j + 2 * k - 1) * t2 * prev
+
+
 def run_values(k, x, top):
-    """The first top+1 values of `_ultraspherical` at x, each over j! t^j."""
-    run = _ultraspherical(k, x.numerator, x.denominator)
+    """The first top+1 values of `ultraspherical` at x, each over j! t^j."""
+    run = ultraspherical(k, x.numerator, x.denominator)
     return [Fraction(w, factorial(j) * x.denominator ** j) for j, w in zip(range(top + 1), run)]
+
+
+def oracle_basis_values(form, n, x, ks):
+    """The basis values by one oracle run per k: d^k P_{n-k}(x) is (2k-1)!!
+    C^(k+1/2)_{n-2k}(x), and P_{n-2k}(x) is the k = 0 run at degree n-2k."""
+    if form == FORM_DERIVATIVE:
+        return {k: prod(range(1, 2 * k, 2)) * run_values(k, x, n - 2 * k)[-1] for k in ks}
+    return {k: run_values(0, x, n - 2 * k)[-1] for k in ks}
 
 
 @pytest.mark.parametrize("lam", POINT_LAMBDAS, ids=str)
 def test_bonnet_run_matches_horner(bonnet_polys, lam):
     # k = 0 is Bonnet's recurrence: V_m / (m! t^m) = P_m(y), here at y = lam * x
-    # as `eval --method direct` uses it.
+    # as `eval --method direct` uses it; the Legendre walk reads the same values.
     for x in POINTS:
         y = lam * x
-        assert run_values(0, y, 100) == [bonnet_polys[m].evaluate(y) for m in range(101)], y
+        expected = [bonnet_polys[m].evaluate(y) for m in range(101)]
+        assert run_values(0, y, 100) == expected, y
+        for n in (99, 100):
+            values = dict(_basis_values(FORM_LEGENDRE, n, y, range(n // 2 + 1)))
+            assert values == {k: expected[n - 2 * k] for k in range(n // 2 + 1)}, (n, y)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 25, 50])
 def test_ultraspherical_run_matches_derivatives(bonnet_polys, k):
-    # d^k P_{m+k} = (2k-1)!! C^(k+1/2)_m, so (2k-1)!! W_m / (m! t^m) is d^k P_{m+k}(x).
+    # d^k P_{m+k} = (2k-1)!! C^(k+1/2)_m, so (2k-1)!! W_m / (m! t^m) is d^k P_{m+k}(x);
+    # the derivative walk from n = m + 2k down to k reads the same value.
     odd = prod(range(1, 2 * k, 2))
     for x in POINTS:
         expected = [differentiate(bonnet_polys[m + k], k).evaluate(x) for m in range(101)]
         assert [odd * value for value in run_values(k, x, 100)] == expected, x
+        for m in range(101):
+            assert list(_basis_values(FORM_DERIVATIVE, m + 2 * k, x, [k])) == [(k, expected[m])], (m, x)
+
+
+@pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+def test_basis_walks_match_the_per_k_runs(form):
+    # One walk per form, stopped at the lowest k asked for, against one oracle
+    # run per k: every k, and a stride that leaves out k = 0.
+    for n in range(61):
+        for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 8), Fraction(5, 2), Fraction(-7, 3)):
+            for ks in (range(n // 2 + 1), range(n // 2, 0, -3)):
+                values = list(_basis_values(form, n, x, ks))
+                assert dict(values) == oracle_basis_values(form, n, x, ks), (n, x, ks)
+                assert len(values) == len(ks), (n, x, ks)
 
 
 @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])

@@ -268,6 +268,27 @@ def test_cold_projection_walks_the_rows_once(monkeypatch):
     assert projected == projection_oracle(target)
 
 
+def test_cold_to_poly_walks_the_rows_once(monkeypatch):
+    # `to_poly` read one `legendre_bonnet` entry per degree, and on a cold
+    # cache each miss walked the Bonnet rows from R_0 again: 101 walks here.
+    # It reads one walk, up to the top degree, and no cache entry.
+    series = LegendreSeries({m: Fraction(m + 1, 7) for m in range(0, 301, 3)})
+    expected = sum((c * legendre_bonnet(m) for m, c in series.items()), Poly.zero())
+    legendre_bonnet.cache_clear()
+    walks = []
+    real = polynomials._bonnet_rows
+
+    def counting():
+        walks.append(1)
+        return real()
+
+    monkeypatch.setattr(polynomials, "_bonnet_rows", counting)
+    assert to_poly(series) == expected
+    assert len(walks) == 1
+    info = legendre_bonnet.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 def test_projections_beside_concurrent_cache_clears_and_fills():
     # The projection walks its own Bonnet rows; `legendre_bonnet` fills and
     # clears its bounded cache beside it. Threads that climb the even or the
