@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Union
 
 from .rationals import _parse_index, parse_rational
-from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _basis_values, _expansion
+from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _basis_values, _derivative_form, _legendre_form
 
 __all__ = ["main", "run", "format_decimal"]
 
@@ -107,14 +108,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args.lam)
     point = _parse_point(args.x)
     if args.method == "direct":  # P_n(lam*x) is 1 * P_n(y) at y = lam*x
-        form, coeffs, point = FORM_LEGENDRE, (Fraction(1),), lam * point
+        form, rows, point = FORM_LEGENDRE, [(1, 1)], lam * point
     else:
         form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
-        coeffs = _expansion(lam, args.n, form, 0).coeffs
-    # at lambda = 0, 1, -1 most weights are 0: evaluate no basis value for them
-    nonzero = [k for k, c in enumerate(coeffs) if c]
-    values = _basis_values(form, args.n, point, nonzero)
-    value = sum((coeffs[k] * v for k, v in values), Fraction(0))
+        core = _derivative_form if form == FORM_DERIVATIVE else _legendre_form
+        rows = core(lam.numerator, lam.denominator, args.n)
+    weights = {k: (row[0], row[-1]) for k, row in enumerate(rows) if row[0]}  # zero weights get no basis value
+    terms = [(*weights[k], num, den) for k, num, den in _basis_values(form, args.n, point, weights)]
+    common = lcm(*(w_den * den for _, w_den, _, den in terms))  # the int terms over one denominator
+    value = Fraction(sum(w * num * (common // (w_den * den)) for w, w_den, num, den in terms), common)
     _check_printable((int(value),))  # the decimal rendering prints the integer part in full
     sys.stdout.write(format_decimal(value, args.digits) + "\n")
     return EXIT_OK

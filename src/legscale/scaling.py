@@ -17,12 +17,12 @@ it), whose integer kernel has one owner, `_doha_alphas` here:
 for k >= 1. With lam = p/q, m = n-2k, u = p^2, v = p^2-q^2 and
 w_i = 2^i k!/(k-i)! alpha_nki(n, k, i), b_k = p^m S_k / (q^n 2^k k!) with
 the integer Horner sum S_k = sum_{i<k} w_i u^i v^(k-i). The public functions
-wrap the integer cores `_derivative_form` and `_legendre_form`, read by `verify`.
+wrap the integer cores `_derivative_form` and `_legendre_form`; `verify` reads
+them, and `eval` sums their rows with the ints of `_basis_values`.
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
-P_n(0) is reachable). `_basis_values` evaluates either basis at a point by
-one integer recurrence; the basis polynomials are `polynomials.expansion_basis`.
+P_n(0) is reachable). The basis polynomials are `polynomials.expansion_basis`.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class ScalingExpansion(Record):
         return cls(parse_rational(data["lambda"]), n, data["form"], coeffs)
 
 
-def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator[Tuple[int, Fraction]]:
-    """(k, the basis polynomial of ``coeffs[k]`` at x) for each k of `ks`, one
-    Fraction N_m / (m! t^m) each (x = s/t, m = n-2k), from one integer recurrence
-    per form up the degrees m: Bonnet's for V_m = m! t^m P_m(x), and for
-    F_m = m! t^m d^k P_{n-k}(x) a contiguous relation (DLMF 15.5(ii), 18.9) in
-    steps of 2 from the product of the odd numbers up to n, with no division."""
+def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+    """(k, N, m! t^m) for each k of `ks`, m = n-2k: the basis polynomial of ``coeffs[k]``
+    at x = s/t is N / (m! t^m), unreduced. N is from one integer recurrence per form up
+    the degrees m: Bonnet's for V_m = m! t^m P_m(x), and for F_m = m! t^m d^k P_{n-k}(x)
+    a contiguous relation (DLMF 15.5(ii), 18.9) in steps of 2, with no division."""
     s, t = x.numerator, x.denominator
     s2, t2 = s * s, t * t
     wanted = {n - 2 * k: k for k in ks}  # degree m -> k
@@ -112,14 +111,14 @@ def _basis_values(form: str, n: int, x: Fraction, ks: Iterable[int]) -> Iterator
         f, f_down = (perm(2 * c, c) >> c) * s ** (n % 2), 0  # F_m, F_{m-2}
         for m in range(n % 2, top + 1, 2):
             if m in wanted:
-                yield wanted[m], Fraction(f, factorial(m) * t ** m)
+                yield wanted[m], f, factorial(m) * t ** m
             if m < top:
                 f, f_down = ((n + m + 1) * s2 - (2 * m + 1) * t2) * f + m * (m - 1) * t2 * (s2 - t2) * f_down, f
         return
     v, v_down = 1, 0  # V_m, V_{m-1}
     for m in range(top + 1):
         if m in wanted:
-            yield wanted[m], Fraction(v, factorial(m) * t ** m)
+            yield wanted[m], v, factorial(m) * t ** m
         if m < top:
             v, v_down = (2 * m + 1) * s * v - m * m * t2 * v_down, v
 
@@ -152,8 +151,7 @@ def _derivative_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int]]:
     shift_power, den = 1, q ** n
     for k in range(n // 2 + 1):
         yield p ** (n - 2 * k) * shift_power, den
-        shift_power *= p * p - q * q
-        den *= 2 * (k + 1)
+        shift_power, den = shift_power * (p * p - q * q), den * 2 * (k + 1)
 
 
 def _expansion(lam: RationalLike, n: int, form: str, column: int) -> ScalingExpansion:

@@ -18,7 +18,7 @@ import legscale.verify
 from legscale import deriv_expand_closed, expand_derivative_form, expand_legendre_form, legendre_bonnet
 from legscale.cli import format_decimal, main
 from legscale.rationals import format_rational
-from legscale.scaling import _a_rows, _doha_alphas
+from legscale.scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _a_rows, _basis_values, _doha_alphas, _expansion
 
 
 def run_cli(capsys, *argv):
@@ -504,23 +504,57 @@ class TestEval:
         assert len(outputs) == 1
 
     def test_zero_weights_build_no_basis(self, capsys, monkeypatch):
-        # At lambda = 1 only a_0 is nonzero; evaluating d^k P_{n-k} for the
-        # zero weights made a-form 25 times slower at n = 150. `eval` asks the
-        # basis for the ks of nonzero weight only.
-        asked = []
+        # At lambda = 0, 1, -1 at most one weight is nonzero; evaluating d^k P_{n-k}
+        # for the zero weights made a-form 25 times slower at n = 150. `eval` reads
+        # the weights from the integer cores, builds no `ScalingExpansion`, and asks
+        # the basis for the ks of nonzero weight only, so none is built for a zero one.
+        asked, built = [], []
         real = legscale.cli._basis_values
 
         def spy(form, n, x, ks):
-            asked.append(list(ks))
-            return real(form, n, x, asked[-1])
+            asked.append(sorted(ks))
+            for value in real(form, n, x, asked[-1]):
+                built.append(value[0])
+                yield value
 
+        def no_expansion(*args):
+            raise AssertionError("eval built a ScalingExpansion")
+
+        cases = [(method, n, lam) for method in ("a-form", "b-form") for n in (9, 10) for lam in ("0", "1", "-1")]
+        expand = {"a-form": expand_derivative_form, "b-form": expand_legendre_form}
+        nonzero = {case: [k for k, c in enumerate(expand[case[0]](case[2], case[1]).coeffs) if c] for case in cases}
         monkeypatch.setattr(legscale.cli, "_basis_values", spy)
-        code, out, _ = run_cli(
-            capsys, "eval", "--n", "9", "--lambda", "1", "--x", "1/3", "--method", "a-form"
-        )
-        assert code == 0
-        assert out == format_decimal(legendre_bonnet(9).evaluate(Fraction(1, 3)), 12) + "\n"
-        assert asked == [[0]]
+        monkeypatch.setattr(legscale.scaling, "_expansion", no_expansion)
+        monkeypatch.setattr(legscale.cli, "_expansion", no_expansion, raising=False)
+        for method, n, lam in cases:
+            asked.clear()
+            built.clear()
+            code, out, _ = run_cli(capsys, "eval", "--n", str(n), "--lambda", lam, "--x", "1/3", "--method", method)
+            assert code == 0
+            assert out == format_decimal(legendre_bonnet(n).evaluate(Fraction(lam) / 3), 12) + "\n"
+            expected = nonzero[method, n, lam]
+            assert asked == [expected] and sorted(built) == expected, (method, n, lam)
+            assert len(expected) == (0 if lam == "0" and n % 2 else 1), (method, n, lam)
+
+    @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+    def test_integer_sum_matches_the_fraction_sum(self, monkeypatch, form, capsys):
+        # The value `eval` prints is its int terms over one common denominator; it
+        # must equal the sum it replaced, weight times basis value, one Fraction each.
+        # At lambda = 0 and odd n every a-form weight is 0 and the sum is empty.
+        printed = []
+        monkeypatch.setattr(legscale.cli, "format_decimal", lambda value, digits: printed.append(value) or "")
+        method = "a-form" if form == FORM_DERIVATIVE else "b-form"
+        for n in range(40):
+            for lam in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-20, 7)):
+                coeffs = _expansion(lam, n, form, 0).coeffs
+                for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 8), Fraction(5, 2)):
+                    values = _basis_values(form, n, x, range(n // 2 + 1))
+                    expected = sum((coeffs[k] * Fraction(num, den) for k, num, den in values), Fraction(0))
+                    argv = ("eval", "--n", str(n), "--lambda", str(lam), "--x", str(x), "--method", method)
+                    assert run_cli(capsys, *argv)[0] == 0
+                    assert printed.pop() == expected, (n, lam, x)
+                    if form == FORM_DERIVATIVE and lam == 0 and n % 2:
+                        assert not any(coeffs) and expected == 0
 
     @pytest.mark.parametrize("method", ["a-form", "b-form"])
     def test_basis_comes_from_one_bonnet_walk(self, capsys, monkeypatch, method):

@@ -610,6 +610,16 @@ def oracle_basis_values(form, n, x, ks):
     return {k: run_values(0, x, n - 2 * k)[-1] for k in ks}
 
 
+def basis_fractions(form, n, x, ks):
+    """`_basis_values` with each (k, N, d) read as (k, Fraction(N, d)), after
+    checking that d is m! t^m, m = n-2k, as its docstring says."""
+    values = []
+    for k, num, den in _basis_values(form, n, x, ks):
+        assert den == factorial(n - 2 * k) * x.denominator ** (n - 2 * k), (form, n, x, k)
+        values.append((k, Fraction(num, den)))
+    return values
+
+
 @pytest.mark.parametrize("lam", POINT_LAMBDAS, ids=str)
 def test_bonnet_run_matches_horner(bonnet_polys, lam):
     # k = 0 is Bonnet's recurrence: V_m / (m! t^m) = P_m(y), here at y = lam * x
@@ -619,7 +629,7 @@ def test_bonnet_run_matches_horner(bonnet_polys, lam):
         expected = [bonnet_polys[m].evaluate(y) for m in range(101)]
         assert run_values(0, y, 100) == expected, y
         for n in (99, 100):
-            values = dict(_basis_values(FORM_LEGENDRE, n, y, range(n // 2 + 1)))
+            values = dict(basis_fractions(FORM_LEGENDRE, n, y, range(n // 2 + 1)))
             assert values == {k: expected[n - 2 * k] for k in range(n // 2 + 1)}, (n, y)
 
 
@@ -632,7 +642,7 @@ def test_ultraspherical_run_matches_derivatives(bonnet_polys, k):
         expected = [differentiate(bonnet_polys[m + k], k).evaluate(x) for m in range(101)]
         assert [odd * value for value in run_values(k, x, 100)] == expected, x
         for m in range(101):
-            assert list(_basis_values(FORM_DERIVATIVE, m + 2 * k, x, [k])) == [(k, expected[m])], (m, x)
+            assert basis_fractions(FORM_DERIVATIVE, m + 2 * k, x, [k]) == [(k, expected[m])], (m, x)
 
 
 @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
@@ -642,7 +652,7 @@ def test_basis_walks_match_the_per_k_runs(form):
     for n in range(61):
         for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 8), Fraction(5, 2), Fraction(-7, 3)):
             for ks in (range(n // 2 + 1), range(n // 2, 0, -3)):
-                values = list(_basis_values(form, n, x, ks))
+                values = basis_fractions(form, n, x, ks)
                 assert dict(values) == oracle_basis_values(form, n, x, ks), (n, x, ks)
                 assert len(values) == len(ks), (n, x, ks)
 
@@ -653,4 +663,4 @@ def test_basis_values_match_the_basis_polynomials(form):
         basis = expansion_basis(form, n)
         for x in POINTS:
             expected = {k: part.evaluate(x) for k, part in enumerate(basis)}
-            assert dict(_basis_values(form, n, x, range(n // 2 + 1))) == expected, (n, x)
+            assert dict(basis_fractions(form, n, x, range(n // 2 + 1))) == expected, (n, x)

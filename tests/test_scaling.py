@@ -247,13 +247,17 @@ class TestExpansionBasis:
     @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
     def test_sparse_and_empty_ks(self, form):
         # The pointwise basis values, for any subset of k, are the basis
-        # polynomials evaluated at the point.
+        # polynomials evaluated at the point, each as an unreduced int pair.
         basis = expansion_basis(form, 40)
         x = Fraction(-7, 5)
-        assert dict(_basis_values(form, 40, x, [20, 0, 7])) == {k: basis[k].evaluate(x) for k in (0, 7, 20)}
-        assert dict(_basis_values(form, 40, x, [13])) == {13: basis[13].evaluate(x)}
-        assert list(_basis_values(form, 40, x, [])) == []
-        assert list(_basis_values(form, 0, x, [0])) == [(0, Fraction(1))]
+
+        def values(n, ks):
+            return [(k, Fraction(num, den)) for k, num, den in _basis_values(form, n, x, ks)]
+
+        assert dict(values(40, [20, 0, 7])) == {k: basis[k].evaluate(x) for k in (0, 7, 20)}
+        assert dict(values(40, [13])) == {13: basis[13].evaluate(x)}
+        assert values(40, []) == []
+        assert list(_basis_values(form, 0, x, [0])) == [(0, 1, 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
