@@ -113,7 +113,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         form = FORM_DERIVATIVE if args.method == "a-form" else FORM_LEGENDRE
         core = _derivative_form if form == FORM_DERIVATIVE else _legendre_form
         rows = core(lam.numerator, lam.denominator, args.n)
-    weights = {k: (row[0], row[-1]) for k, row in enumerate(rows) if row[0]}  # zero weights get no basis value
+    weights = {k: row for k, row in enumerate(rows) if row[0]}  # zero weights get no basis value
     terms = [(*weights[k], num, den) for k, num, den in _basis_values(form, args.n, point, weights)]
     common = lcm(*(w_den * den for _, w_den, _, den in terms))  # the int terms over one denominator
     value = Fraction(sum(w * num * (common // (w_den * den)) for w, w_den, num, den in terms), common)

@@ -156,7 +156,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         lam = _parse_lambda(args.lam)
         _check_lambda_power(lam, args.n)
         form = args.form or FORM_LEGENDRE
-        values = _expansion(lam, args.n, form, 0).coeffs
+        values = _expansion(lam, args.n, form).coeffs
         key, keys = "k", range(len(values))
         head = f'"lambda": "{format_rational(lam)}",\n  "n": {args.n},\n  "form": "{form}",\n  "coeffs"'
     else:

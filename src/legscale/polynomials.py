@@ -1,14 +1,14 @@
 """Dense exact polynomials, Legendre constructions, and basis machinery.
 
-Three independent ways of building P_n live here (three-term recurrence,
-repeated differentiation of (x^2-1)^n, terminating Gauss series), together
-with the formal operations every identity check rests on: differentiation,
-argument scaling, the exact inner product on [-1, 1], projection onto the
-Legendre basis and the scaling expansions' bases (both read a walk of the
-Bonnet rows, not a cache), and the integer linear combination of
-polynomials. A `Poly` holds int numerators over one denominator, so all
-of these run in Python integers; Fractions are built only where values
-leave a polynomial.
+Three independent ways of building P_n live here (three-term recurrence;
+Rodrigues' formula, the derivation replay's integer core at lam = 1;
+terminating Gauss series), together with the formal operations every
+identity check rests on: differentiation, argument scaling, the exact inner
+product on [-1, 1], projection onto the Legendre basis and the scaling
+expansions' bases (both read a walk of the Bonnet rows, not a cache), and
+the integer linear combination of polynomials. A `Poly` holds int
+numerators over one denominator, so all of these run in Python integers;
+Fractions are built only where values leave a polynomial.
 """
 
 from __future__ import annotations
@@ -367,18 +367,31 @@ def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
     return _basis(form, n, list(islice(_bonnet_rows(), n + 1)))
 
 
-def legendre_rodrigues(n: int) -> Poly:
-    """P_n as the n-th derivative of (x^2-1)^n divided by 2^n n!.
+def _scaled_rodrigues(p: int, q: int, n: int) -> Poly:
+    """P_n(lam*x), lam = p/q != 0, by the construction that
+    `verify.replay_rodrigues_derivation` replays: times p^(2n), its binomial
+    sum has the integer terms C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and
+    with the prefactor they stand over p^n q^n 2^n n!. D^n keeps only their
+    x^(2j) with 2j >= n, so k starts at ceil(n/2) and j steps down from k by
+    the exact ratio C(k,j-1) = C(k,j) j / (k-j+1), the sign alternating."""
+    shift = p * p - q * q
+    half = (n + 1) // 2  # the least j with 2j >= n
+    acc = [0] * (2 * n + 1)
+    for k in range(half, n + 1):
+        c = comb(n, k) * shift ** (n - k) * p ** (2 * k)  # times (-1)^(k-j) C(k,j) at j = k
+        for j in range(k, half - 1, -1):
+            acc[2 * j] += c
+            c = -c * j // (k - j + 1)
+    return differentiate(Poly.from_integer_form(acc, p ** n * (2 * q) ** n * factorial(n)), n)
 
-    (x^2-1)^n is expanded binomially, so this path shares no recurrence with
-    `legendre_bonnet`.
-    """
+
+def legendre_rodrigues(n: int) -> Poly:
+    """P_n as the n-th derivative of (x^2-1)^n divided by 2^n n!: the derivation
+    replay's core `_scaled_rodrigues` at lam = 1. Its binomial expansion shares
+    no recurrence with `legendre_bonnet`."""
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    base = [0] * (2 * n + 1)
-    for j in range(n + 1):
-        base[2 * j] = comb(n, j) * (-1) ** (n - j)
-    return differentiate(Poly(base), n) / (2 ** n * factorial(n))
+    return _scaled_rodrigues(1, 1, n)
 
 
 def legendre_murphy(n: int) -> Poly:

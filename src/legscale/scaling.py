@@ -17,8 +17,9 @@ it), whose integer kernel has one owner, `_doha_alphas` here:
 for k >= 1. With lam = p/q, m = n-2k, u = p^2, v = p^2-q^2 and
 w_i = 2^i k!/(k-i)! alpha_nki(n, k, i), b_k = p^m S_k / (q^n 2^k k!) with
 the integer Horner sum S_k = sum_{i<k} w_i u^i v^(k-i). The public functions
-wrap the integer cores `_derivative_form` and `_legendre_form`; `verify` reads
-them, and `eval` sums their rows with the ints of `_basis_values`.
+wrap the integer cores `_derivative_form` and `_legendre_form`, which yield
+(num, den) pairs; `verify` reads them, and `eval` sums their pairs with the
+ints of `_basis_values`. The untruncated variant adds depth k from Doha's k = 0 row.
 
 k runs over 0 ... floor(n/2) in both forms. Everything is exact for any
 rational lam, including lam = 0 (0^0 = 1 keeps the constant term alive, so
@@ -154,19 +155,19 @@ def _derivative_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int]]:
         shift_power, den = shift_power * (p * p - q * q), den * 2 * (k + 1)
 
 
-def _expansion(lam: RationalLike, n: int, form: str, column: int) -> ScalingExpansion:
-    """coeffs[k] = row[column] / row[-1] for row k of the integer core of `form`."""
+def _expansion(lam: RationalLike, n: int, form: str) -> ScalingExpansion:
+    """coeffs[k] = num / den for pair k of the integer core of `form`."""
     factor = as_rational(lam)
     if n < 0:
         raise ValueError("degree must be >= 0")
     core = _derivative_form if form == FORM_DERIVATIVE else _legendre_form
     rows = core(factor.numerator, factor.denominator, n)
-    return ScalingExpansion(factor, n, form, tuple(Fraction(row[column], row[-1]) for row in rows))
+    return ScalingExpansion(factor, n, form, tuple(Fraction(num, den) for num, den in rows))
 
 
 def expand_derivative_form(lam: RationalLike, n: int) -> ScalingExpansion:
     """All derivative-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
-    return _expansion(lam, n, FORM_DERIVATIVE, 0)
+    return _expansion(lam, n, FORM_DERIVATIVE)
 
 
 def a_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:
@@ -210,20 +211,18 @@ def alpha_nki(n: int, k: int, i: int) -> Fraction:
     return Fraction(_doha_alphas(n - k + i, k - i)[i])
 
 
-def _legendre_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int, int]]:
-    """Integer core of the legendre form at lam = p/q: for each k, the truncated
-    and untruncated numerators p^m S_k over q^n 2^k k!. S_k is a Horner sum in u
-    from i = k-1 down, w_{k-1} = 2^(k-1) k! (2m+1), w_{i-1} = w_i i (2m+2i+1) /
-    (2(k-i+1)(k-i)) exact or raising. The untruncated sum adds w_k u^k, whose
-    weight w_k = 2 w_{k-1} C(k-1, k) is a computed zero."""
+def _legendre_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int]]:
+    """Integer core of the legendre form at lam = p/q: b_k as the unreduced pair
+    (p^m S_k, q^n 2^k k!). S_k is a Horner sum in u from i = k-1 down,
+    w_{k-1} = 2^(k-1) k! (2m+1), w_{i-1} = w_i i (2m+2i+1) / (2(k-i+1)(k-i)) exact or raising."""
     u, v = p * p, p * p - q * q
     den = q ** n  # q^n 2^k k!
-    yield p ** n, p ** n, den  # b_0 = a_0 = lam^n
+    yield p ** n, den  # b_0 = a_0 = lam^n
     for k in range(1, n // 2 + 1):
         m = n - 2 * k
         den *= 2 * k
         w = 2 ** (k - 1) * factorial(k) * (2 * m + 1)  # w_{k-1}
-        extra, total, v_power = 2 * w * comb(k - 1, k), 0, 1  # extra = w_k
+        total, v_power = 0, 1
         for i in range(k - 1, -1, -1):
             v_power *= v
             total = total * u + w * v_power
@@ -231,20 +230,21 @@ def _legendre_form(p: int, q: int, n: int) -> Iterator[Tuple[int, int, int]]:
                 w, rem = divmod(w * i * (2 * m + 2 * i + 1), 2 * (k - i + 1) * (k - i))
                 if rem:
                     raise ArithmeticError(f"inexact Horner weight {i - 1} for (n, k) = ({n}, {k})")
-        num = p ** m * total
-        yield num, num + p ** m * extra * u ** k if extra else num, den
+        yield p ** m * total, den
 
 
 def expand_legendre_form(lam: RationalLike, n: int) -> ScalingExpansion:
     """All legendre-form weights of P_n(lam*x), k = 0 ... floor(n/2)."""
-    return _expansion(lam, n, FORM_LEGENDRE, 0)
+    return _expansion(lam, n, FORM_LEGENDRE)
 
 
 def expand_legendre_form_untruncated(lam: RationalLike, n: int) -> ScalingExpansion:
-    """Legendre-form weights summing depths i = 0 ... k. The extra term's
-    weight alpha_nki(n, k, k) is a computed 0 for k >= 1, so the two forms
-    must agree; the test suite compares them rather than assuming it."""
-    return _expansion(lam, n, FORM_LEGENDRE, 1)
+    """Legendre-form weights summing depths i = 0 ... k: b_k plus, for k >= 1, lam^n times
+    alpha_nki(n, k, k), entry k of Doha's k = 0 row. That entry is a computed 0, so the
+    two forms must agree; the test suite compares them rather than assuming it."""
+    b = expand_legendre_form(lam, n).coeffs
+    depth_k = [0] + _doha_alphas(n, 0)[1:]  # b_0 = a_0 = lam^n is depth 0 already
+    return ScalingExpansion(as_rational(lam), n, FORM_LEGENDRE, tuple(c + b[0] * a for c, a in zip(b, depth_k)))
 
 
 def b_coefficient(lam: RationalLike, n: int, k: int) -> Fraction:

@@ -5,22 +5,24 @@ machinery (basis construction, formal derivatives, argument scaling, exact
 integrals) and compares it coefficient by coefficient against an
 independently computed target. The claims come from the integer cores that
 the public whole-expansion functions wrap, never from the scalar coefficient
-formulas (`a_coefficient`, `b_coefficient`, `alpha_*`), and the target side
-is built from polynomial primitives alone. One driver records each suite's
-first failing case in sweep order with full coefficient dumps of both sides:
-an index-convention slip is the likeliest failure, and raw dumps localize
-it. A passing case builds no Fraction.
+formulas (`a_coefficient`, `b_coefficient`, `alpha_*`); eq13's untruncated
+depth terms come from Doha's k = 0 row, and the replay is the Rodrigues core
+`legendre_rodrigues` shares. The target side is built from polynomial
+primitives alone. One driver records each suite's first failing case in
+sweep order with full coefficient dumps of both sides: an index-convention
+slip is the likeliest failure, and raw dumps localize it. A passing case
+builds no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
 from .polynomials import (
-    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, differentiate, scale_argument,
+    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, _scaled_rodrigues, differentiate,
+    scale_argument,
 )
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
@@ -158,8 +160,8 @@ def verify_scaling_identity(
     built basis polynomials and compared with scale_argument(P_n, lam). In
     the legendre form the coefficients are additionally matched one by one
     against exact-projection values, and the truncated/untruncated depth
-    sums are compared, with the verdict recorded under
-    details["limit_variants_agree"].
+    sums, which differ by lam^n times entries 1 ... floor(n/2) of Doha's k = 0
+    row, are compared, with the verdict recorded under details["limit_variants_agree"].
     """
     if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
         raise ValueError(f"unknown form {form!r}")
@@ -170,13 +172,9 @@ def verify_scaling_identity(
     def check(n: int, p_n: Poly, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
         p, q = lam.numerator, lam.denominator
         target = scale_argument(p_n, lam)
-        if legendre:
-            rows = list(_legendre_form(p, q, n))
-            if any(truncated != untruncated for truncated, untruncated, _ in rows):
-                details["limit_variants_agree"] = False
-            weights = [(truncated, den) for truncated, _, den in rows]
-        else:
-            weights = list(_derivative_form(p, q, n))
+        weights = list((_legendre_form if legendre else _derivative_form)(p, q, n))
+        if legendre and p and any(_doha_alphas(n, 0)[1:]):
+            details["limit_variants_agree"] = False
         rebuilt = _combination(weights, parts)
         if rebuilt != target:
             return _poly_mismatch(_lambda_params(n, lam, "reconstruction"), rebuilt, target)
@@ -243,8 +241,8 @@ def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
 
 def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[VerificationReport]:
     """The reports of `subjects` (eq19, eq24-rows, eq26-vs-telescoping) from one
-    pass over (n, k <= n, and n+1, n+2 for eq19) that runs each route once a
-    case, and only the routes, P_m and z-rows that a selected subject reads.
+    pass over (n, k <= n, and n+1, n+2 for eq19) that builds each route and d^k P_n
+    once a case, and only the routes, derivatives, P_m and z-rows a subject reads.
     """
     telescope = not {"eq19", "eq26-vs-telescoping"}.isdisjoint(subjects)
     solve = not {"eq19", "eq24-rows"}.isdisjoint(subjects)
@@ -257,7 +255,7 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
             raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
         z_rows.append([c // den for c in nums])
 
-    def derivative(n, k, tele, scaled, recur):  # the int alphas of telescoping, 2^k triangular, recurrence
+    def derivative(n, k, tele, scaled, recur, derived):  # int alphas: telescoping, 2^k triangular, recurrence
         routes = (
             ("triangular", scaled, [a << k for a in tele], 2 ** k),
             ("recurrence", recur, tele, 1),
@@ -272,16 +270,15 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
                 )
         parts = [legendre[n - k - 2 * i] for i in range(len(tele))]
         rebuilt = _combination([(a, 1) for a in tele], parts)
-        expected = differentiate(legendre[n], k)
-        if rebuilt != expected:
-            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, expected)
+        if rebuilt != derived:
+            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, derived)
         return None
 
-    def surplus(n, k, tele, scaled, recur):
+    def surplus(n, k, tele, scaled, recur, derived):
         if k > n:
             return False
         big_n = n - k
-        lhs, lhs_den = _z_form(differentiate(legendre[n], k), big_n + 1)
+        lhs, lhs_den = _z_form(derived, big_n + 1)
         rows = [z_rows[m] for m in range(big_n, -1, -2)]
         for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
             # P_m has no z^j term past j = m
@@ -294,7 +291,7 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
                 )
         return None
 
-    def recurrence(n, k, tele, scaled, recur):
+    def recurrence(n, k, tele, scaled, recur, derived):
         if k > n:
             return False
         if tele != recur:
@@ -307,7 +304,8 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
 
     cases = (
         (n, k, _telescoping(n, k) if telescope else None, _triangular(n, k, murphy_rows) if solve else None,
-         _alpha_values(n, k, (n - k) // 2) if telescope else None)
+         _alpha_values(n, k, (n - k) // 2) if telescope else None,
+         differentiate(legendre[n], k) if solve else None)
         for n in range(n_max + 1)
         for k in range(n + 1 + 2 * ("eq19" in subjects))
     )
@@ -355,27 +353,15 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
     lam = 0 is rejected: this route divides by lam^2, unlike the
     coefficient formulas, which stay valid there.
 
-    With lam = p/q the sum times p^(2n) has the integer terms
-    C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and with the prefactor they
-    stand over p^n q^n 2^n n!. D^n keeps only their x^(2j) with 2j >= n, so
-    k starts at ceil(n/2) and j steps down from k by the exact ratio
-    C(k,j-1) = C(k,j) j / (k-j+1), the sign alternating.
+    The integer construction is `polynomials._scaled_rodrigues`, which
+    `legendre_rodrigues` runs at lam = 1.
     """
     factor = as_rational(lam)
     if factor == 0:
         raise ValueError("lambda must be nonzero for the derivation replay")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    p, q = factor.numerator, factor.denominator
-    shift = p * p - q * q
-    half = (n + 1) // 2  # the least j with 2j >= n
-    acc = [0] * (2 * n + 1)
-    for k in range(half, n + 1):
-        c = comb(n, k) * shift ** (n - k) * p ** (2 * k)  # times (-1)^(k-j) C(k,j) at j = k
-        for j in range(k, half - 1, -1):
-            acc[2 * j] += c
-            c = -c * j // (k - j + 1)
-    return differentiate(Poly.from_integer_form(acc, p ** n * (2 * q) ** n * factorial(n)), n)
+    return _scaled_rodrigues(factor.numerator, factor.denominator, n)
 
 
 def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS) -> VerificationReport:

@@ -470,6 +470,24 @@ class TestVerify:
         assert code == 3
         assert "i/o error" in err
 
+    def test_derivative_pass_differentiates_once_a_case(self, capsys, monkeypatch):
+        # eq19's against-derivative check and eq24-rows' left side read one
+        # d^k P_n per case: 273 eq19 cases at n_max 20 (k <= n+2), where a
+        # derivative per subject made 273 + 231. eq26 reads none.
+        real, calls = legscale.verify.differentiate, []
+
+        def counting(p, k=1):
+            calls.append(k)
+            return real(p, k)
+
+        monkeypatch.setattr(legscale.verify, "differentiate", counting)
+        code, _, err = run_cli(capsys, "verify", "eq19", "--n-max", "20")
+        assert code == 0 and "eq19                    pass  273 cases" in err
+        assert len(calls) == 273
+        calls.clear()
+        assert run_cli(capsys, "verify", "eq26", "--n-max", "20")[0] == 0
+        assert calls == []
+
 
 class TestEval:
     def test_endpoint_value(self, capsys):
@@ -546,7 +564,7 @@ class TestEval:
         method = "a-form" if form == FORM_DERIVATIVE else "b-form"
         for n in range(40):
             for lam in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-20, 7)):
-                coeffs = _expansion(lam, n, form, 0).coeffs
+                coeffs = _expansion(lam, n, form).coeffs
                 for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 8), Fraction(5, 2)):
                     values = _basis_values(form, n, x, range(n // 2 + 1))
                     expected = sum((coeffs[k] * Fraction(num, den) for k, num, den in values), Fraction(0))

@@ -454,13 +454,15 @@ def test_legendre_form_matches_the_composition(lam):
 
 @pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
 def test_scaling_wrappers_match_their_cores(lam):
-    # Each public expansion is Fraction(num, den) of its integer core, entry by entry.
+    # Each public expansion is Fraction(num, den) of its integer core, entry by entry;
+    # the untruncated one adds lam^n times entry k >= 1 of Doha's k = 0 row.
     p, q = lam.numerator, lam.denominator
     for n in range(41):
         a_rows, b_rows = list(_derivative_form(p, q, n)), list(_legendre_form(p, q, n))
+        untruncated = [Fraction(t, d) + lam ** n * a for (t, d), a in zip(b_rows, [0] + _doha_alphas(n, 0)[1:])]
         assert expand_derivative_form(lam, n).coeffs == tuple(Fraction(a, d) for a, d in a_rows), n
-        assert expand_legendre_form(lam, n).coeffs == tuple(Fraction(t, d) for t, _, d in b_rows), n
-        assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(Fraction(u, d) for _, u, d in b_rows), n
+        assert expand_legendre_form(lam, n).coeffs == tuple(Fraction(t, d) for t, d in b_rows), n
+        assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(untruncated), n
         target = scale_argument(legendre_bonnet(n), lam)
         terms = _projection(target, _bonnet_rows())
         assert all(num for _, num, _ in terms) and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
@@ -468,8 +470,8 @@ def test_scaling_wrappers_match_their_cores(lam):
         if n < 16:
             for k in range(n // 2 + 1):
                 assert a_coefficient(lam, n, k) == Fraction(*a_rows[k]), (n, k)
-                assert b_coefficient(lam, n, k) == Fraction(b_rows[k][0], b_rows[k][2]), (n, k)
-                assert b_coefficient_untruncated(lam, n, k) == Fraction(b_rows[k][1], b_rows[k][2]), (n, k)
+                assert b_coefficient(lam, n, k) == Fraction(*b_rows[k]), (n, k)
+                assert b_coefficient_untruncated(lam, n, k) == untruncated[k], (n, k)
 
 
 def test_derivative_wrappers_match_their_cores():

@@ -80,13 +80,39 @@ class TestSweepsPass:
             verify_scaling_identity(5, ())
 
     def test_a_nonzero_untruncated_weight_flips_the_limit_verdict(self, monkeypatch):
-        # A mutant whose i = k weight w_k = 2 w_(k-1) C(k-1, k) is not zero:
-        # the untruncated depth sums differ, while the truncated ones, which
-        # the reconstruction and the projection check, stay right.
+        # A mutant whose depth-k weight alpha_nki(n, k, k), entry k of Doha's
+        # k = 0 row, (2(n-2k)+1) C(k-1, k), is not zero: the untruncated depth
+        # sums differ, while the truncated ones, which the reconstruction and
+        # the projection check, stay right.
         monkeypatch.setattr(legscale.scaling, "comb", lambda a, b: 1 if b == a + 1 else comb(a, b))
         report = verify_scaling_identity(6, (Fraction(2), Fraction(-3, 5)), FORM_LEGENDRE)
         assert report.passed
         assert report.details["limit_variants_agree"] is False
+
+    def test_the_limit_verdict_reads_the_depth_k_entry_of_dohas_row(self, monkeypatch):
+        # eq13 reads the depth-k weight from `_doha_alphas(n, 0)`, not from the
+        # Horner sum: a nonzero entry there flips only the verdict. At lambda 0
+        # the depth-k terms lam^n alpha are zero, so the verdict holds.
+        real = legscale.verify._doha_alphas
+        monkeypatch.setattr(legscale.verify, "_doha_alphas",
+                            lambda n, k: [1] + [1] * (n // 2) if k == 0 else real(n, k))
+        report = verify_scaling_identity(6, (Fraction(2), Fraction(-3, 5)), FORM_LEGENDRE)
+        assert report.passed and report.cases == 7 * 2
+        assert report.details["limit_variants_agree"] is False
+        report = verify_scaling_identity(6, (Fraction(0),), FORM_LEGENDRE)
+        assert report.passed and report.details["limit_variants_agree"] is True
+
+    def test_the_untruncated_weights_read_the_depth_k_entry_of_dohas_row(self, monkeypatch):
+        # The untruncated b_k is b_k + lam^n alpha_nki(n, k, k), the alpha read
+        # from `_doha_alphas(n, 0)`: a nonzero entry there moves only it.
+        real = legscale.scaling._doha_alphas
+        monkeypatch.setattr(legscale.scaling, "_doha_alphas",
+                            lambda n, k: [1] + [1] * (n // 2) if k == 0 else real(n, k))
+        lam = Fraction(2)
+        truncated = legscale.scaling.expand_legendre_form(lam, 6).coeffs
+        untruncated = legscale.scaling.expand_legendre_form_untruncated(lam, 6).coeffs
+        assert untruncated[0] == truncated[0] == 64
+        assert untruncated[1:] == tuple(b + 64 for b in truncated[1:])
 
     @pytest.mark.parametrize("form", (FORM_DERIVATIVE, FORM_LEGENDRE))
     def test_passing_sweep_builds_no_fraction(self, monkeypatch, form):
