@@ -1,6 +1,7 @@
-"""Command-line front end: the parser, the input checks every command
-shares, and `eval`. `table`, `expand` and `verify` live in `legscale.output`,
-which `main` imports only when one of them runs: each call is a fresh
+"""Command-line front end: the parser, the input checks and the writer every
+command shares, and `eval`. `main` imports `legscale.output` (`table`,
+`expand`) or `legscale.verify` (`verify`) only when that command runs, and
+the parser adds the invoked command's arguments alone: each call is a fresh
 process that compiles what it imports, and `eval` needs none of them.
 
 Exit codes are fixed for CI use: 0 success, 1 verification failure,
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from importlib import import_module
 from math import lcm
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -103,6 +105,14 @@ def _check_digits(digits: int) -> None:
         raise UsageError("digits must lie in 1..50")
 
 
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    if args.output is None or args.output == "-":
+        sys.stdout.writelines(chunks)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     _check_digits(args.digits)
     lam = _parse_lambda(args.lam)
@@ -122,7 +132,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every command registered (the root help and errors list all
+    four) but only the arguments of `command`, or of every command when it is None."""
     parser = argparse.ArgumentParser(
         prog="legscale",
         description="Exact expansions of scaled Legendre polynomials and their derivatives.",
@@ -134,40 +146,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", default=None, help="write to PATH instead of stdout")
 
     table = sub.add_parser("table", help="tabulate a coefficient family")
-    table.add_argument("kind", choices=("a", "b", "alpha"))
-    table.add_argument("--n-max", type=_nonneg_int, required=True)
-    table.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
-                       help="scaling factor (kinds a and b only, required there)")
-    table.add_argument("--digits", type=_ascii_int, default=None,
-                       help="append a decimal rendering column (1..50)")
-    add_output_flags(table, "csv")
+    if command in (None, "table"):
+        table.add_argument("kind", choices=("a", "b", "alpha"))
+        table.add_argument("--n-max", type=_nonneg_int, required=True)
+        table.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
+                           help="scaling factor (kinds a and b only, required there)")
+        table.add_argument("--digits", type=_ascii_int, default=None,
+                           help="append a decimal rendering column (1..50)")
+        add_output_flags(table, "csv")
 
     expand = sub.add_parser("expand", help="emit a single expansion")
-    expand.add_argument("what", choices=("scaled", "deriv"))
-    expand.add_argument("--n", type=_nonneg_int, required=True)
-    expand.add_argument("--k", type=_nonneg_int, default=None, help="derivative order (deriv only)")
-    expand.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
-                        help="scaling factor (scaled only)")
-    expand.add_argument("--form", choices=(FORM_DERIVATIVE, FORM_LEGENDRE), default=None,
-                        help=f"scaled only (default {FORM_LEGENDRE})")
-    add_output_flags(expand, "json")
+    if command in (None, "expand"):
+        expand.add_argument("what", choices=("scaled", "deriv"))
+        expand.add_argument("--n", type=_nonneg_int, required=True)
+        expand.add_argument("--k", type=_nonneg_int, default=None, help="derivative order (deriv only)")
+        expand.add_argument("--lambda", dest="lam", metavar="P/Q", default=None,
+                            help="scaling factor (scaled only)")
+        expand.add_argument("--form", choices=(FORM_DERIVATIVE, FORM_LEGENDRE), default=None,
+                            help=f"scaled only (default {FORM_LEGENDRE})")
+        add_output_flags(expand, "json")
 
     verify_p = sub.add_parser("verify", help="run verification sweeps")
-    verify_p.add_argument("suite", choices=SUITES, nargs="?", default="all")
-    verify_p.add_argument("--n-max", type=_nonneg_int, default=12)
-    verify_p.add_argument("--lambda", dest="lam", action="append", metavar="P/Q",
-                          help="override the default sweep set (repeatable; not for eq19, eq26)")
-    verify_p.add_argument("--seed", type=_ascii_int, default=None,
-                          help=f"extend the sweep with {RANDOM_LAMBDA_COUNT} seeded random rationals "
-                               "(not for eq19, eq26)")
-    add_output_flags(verify_p, "json")
+    if command in (None, "verify"):
+        verify_p.add_argument("suite", choices=SUITES, nargs="?", default="all")
+        verify_p.add_argument("--n-max", type=_nonneg_int, default=12)
+        verify_p.add_argument("--lambda", dest="lam", action="append", metavar="P/Q",
+                              help="override the default sweep set (repeatable; not for eq19, eq26)")
+        verify_p.add_argument("--seed", type=_ascii_int, default=None,
+                              help=f"extend the sweep with {RANDOM_LAMBDA_COUNT} seeded random rationals "
+                                   "(not for eq19, eq26)")
+        add_output_flags(verify_p, "json")
 
     eval_p = sub.add_parser("eval", help="evaluate P_n(lambda*x) to a decimal")
-    eval_p.add_argument("--n", type=_nonneg_int, required=True)
-    eval_p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True)
-    eval_p.add_argument("--x", required=True, help="evaluation point (decimal or p/q)")
-    eval_p.add_argument("--method", choices=("direct", "a-form", "b-form"), default="direct")
-    eval_p.add_argument("--digits", type=_ascii_int, default=12)
+    if command in (None, "eval"):
+        eval_p.add_argument("--n", type=_nonneg_int, required=True)
+        eval_p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True)
+        eval_p.add_argument("--x", required=True, help="evaluation point (decimal or p/q)")
+        eval_p.add_argument("--method", choices=("direct", "a-form", "b-form"), default="direct")
+        eval_p.add_argument("--digits", type=_ascii_int, default=12)
 
     return parser
 
@@ -193,19 +209,18 @@ def _fuse_signed_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    tokens = _fuse_signed_values(sys.argv[1:] if argv is None else argv)
+    # the root takes no option with a value: its first token not starting with "-" is the command
+    command = next((token for token in tokens if not token.startswith("-")), None)
     try:
-        args = parser.parse_args(_fuse_signed_values(argv))
+        args = build_parser(command).parse_args(tokens)
     except SystemExit as exc:  # argparse already printed its message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         if args.command == "eval":
             return _cmd_eval(args)
-        from . import output
-
-        return getattr(output, f"_cmd_{args.command}")(args)
+        module = import_module(f".{'verify' if args.command == 'verify' else 'output'}", __package__)
+        return getattr(module, f"_cmd_{args.command}")(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -221,7 +236,7 @@ def run() -> None:
 
 if __name__ == "__main__":
     # This file runs as `__main__` under `python -m legscale.cli`: hand over to
-    # `legscale.cli`, whose `UsageError` is the class `output` raises.
+    # `legscale.cli`, whose `UsageError` is the class `output` and `verify` raise.
     from legscale.cli import run
 
     run()

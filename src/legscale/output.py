@@ -1,21 +1,21 @@
-"""`table`, `expand` and `verify`: the commands that write a record to stdout
-or `--output` as `--format` csv or json. `cli.main` imports this module only
-when one of them runs, so `eval` never compiles it."""
+"""`table` and `expand`: the commands that write coefficients to stdout or
+`--output` as `--format` csv or json. `cli.main` imports this module only
+when one of them runs, so `eval` and `verify` (which lives in
+`legscale.verify`) never compile it."""
 
 from __future__ import annotations
 
 import argparse
-import sys
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .cli import (
-    _TOO_LONG, _VALUE_LIMIT, EXIT_OK, EXIT_VERIFY_FAILED, RANDOM_LAMBDA_COUNT, SUITES, UsageError,
-    _check_digits, _check_printable, _parse_lambda, format_decimal,
+    _TOO_LONG, _VALUE_LIMIT, EXIT_OK, UsageError, _check_digits, _check_printable, _emit, _parse_lambda,
+    format_decimal,
 )
 from .rationals import format_rational
-from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _a_rows, _doha_alphas, _expansion, expand_legendre_form
+from .scaling import FORM_LEGENDRE, _a_rows, _doha_alphas, _expansion, expand_legendre_form
 
 
 def _check_lambda_power(lam: Fraction, n: int) -> None:
@@ -26,14 +26,6 @@ def _check_lambda_power(lam: Fraction, n: int) -> None:
     low, high = n * (base.bit_length() - 1), n * base.bit_length()
     if low >= bits or (high >= bits and base ** n >= _VALUE_LIMIT):
         raise UsageError(_TOO_LONG)
-
-
-def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    if args.output is None or args.output == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
 
 
 def _batched(pieces: Iterable[str]) -> Iterator[str]:
@@ -181,67 +173,3 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     _emit(args, [text])
     return EXIT_OK
 
-
-def _verify_reports(args: argparse.Namespace) -> list:
-    """The `verify.VerificationReport` of each selected suite, in `SUITES` order."""
-    from . import verify as verification
-
-    if args.suite in ("eq19", "eq26"):  # the derivative suites sweep no lambda
-        for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
-            if value is not None:
-                raise UsageError(f"{flag} does not apply to suite {args.suite!r}")
-    if args.lam:
-        lambdas: Tuple[Fraction, ...] = tuple(_parse_lambda(t) for t in args.lam)
-        if args.suite == "replay" and any(v == 0 for v in lambdas):
-            raise UsageError("lambda=0 invalid for replay")
-    else:
-        lambdas = verification.DEFAULT_LAMBDAS
-    if args.seed is not None:
-        lambdas = lambdas + verification.random_lambdas(RANDOM_LAMBDA_COUNT, args.seed)
-    replay_lambdas = tuple(v for v in lambdas if v != 0)
-    wanted = SUITES[1:] if args.suite == "all" else (args.suite,)
-    if "replay" in wanted and not replay_lambdas:  # refused before any suite runs
-        raise UsageError("replay requires at least one nonzero lambda")
-
-    reports = [
-        verification.verify_scaling_identity(args.n_max, lambdas, form)
-        for suite, form in (("eq9", FORM_DERIVATIVE), ("eq13", FORM_LEGENDRE)) if suite in wanted
-    ]
-    # one (n, k) pass; eq19 brings eq24-rows, its solve's surplus rows
-    subjects = ("eq19", "eq24-rows") * ("eq19" in wanted) + ("eq26-vs-telescoping",) * ("eq26" in wanted)
-    if subjects:
-        reports += verification._derivative_reports(args.n_max, subjects)
-    if "replay" in wanted:
-        reports.append(verification.verify_replay(args.n_max, replay_lambdas))
-    return reports
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = _verify_reports(args)
-    all_passed = all(r.passed for r in reports)
-    # imported here, not at the top (`table` and `expand` write JSON as text) and after
-    # the sweeps: loaded before them, it raised the child's peak RSS by about 0.15 MB
-    import json
-
-    if args.format == "csv":
-
-        def quoted(text: str) -> str:  # as csv.QUOTE_MINIMAL quotes a cell holding '"'
-            return '"' + text.replace('"', '""') + '"'
-
-        header = ("subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample")
-        chunks = [",".join(map(str, row)) + "\n" for row in (header, *(
-            (
-                r.subject, r.status, *r.n_range, *(r.k_range or ("", "")),
-                " ".join(map(format_rational, r.lambdas or ())),
-                quoted(json.dumps(r.counterexample.to_json())) if r.counterexample else "",
-            )
-            for r in reports
-        ))]
-    else:
-        payload = {"n_max": args.n_max, "status": "pass" if all_passed else "fail",
-                   "suites": [r.to_json() for r in reports]}
-        chunks = [json.dumps(payload, indent=2) + "\n"]
-    _emit(args, chunks)
-    for r in reports:
-        sys.stderr.write(f"{r.subject:<24}{r.status}  {r.cases} cases\n")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

@@ -12,20 +12,27 @@ primitives alone. One driver records each suite's first failing case in
 sweep order with full coefficient dumps of both sides: an index-convention
 slip is the likeliest failure, and raw dumps localize it. A passing case
 builds no Fraction.
+
+The `verify` command lives here beside the sweeps and writes its reports as
+JSON text. Its `cli` names and the derivative routes are imported where they
+are read, so importing this module loads neither `cli`, `argparse` nor `json`.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
 from .polynomials import (
     Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, _scaled_rodrigues, differentiate,
     scale_argument,
 )
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -242,8 +249,11 @@ def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
 def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[VerificationReport]:
     """The reports of `subjects` (eq19, eq24-rows, eq26-vs-telescoping) from one
     pass over (n, k <= n, and n+1, n+2 for eq19) that builds each route and d^k P_n
-    once a case, and only the routes, derivatives, P_m and z-rows a subject reads.
+    once a case, and only the routes (imported here: eq9, eq13 and the replay
+    never load them), derivatives, P_m and z-rows a subject reads.
     """
+    from .derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
+
     telescope = not {"eq19", "eq26-vs-telescoping"}.isdisjoint(subjects)
     solve = not {"eq19", "eq24-rows"}.isdisjoint(subjects)
     legendre = _legendre_polys(n_max) if solve else []
@@ -393,3 +403,85 @@ def random_lambdas(count: int, seed: int) -> Tuple[Fraction, ...]:
         Fraction(rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))
         for _ in range(count)
     )
+
+
+def _json_text(value: object, indent: Optional[int] = None, depth: int = 0) -> str:
+    """`json.dumps(value, indent=indent)` for a report's dicts, lists, strs, ints, bools and None.
+    Every report string is the program's, so one that JSON would escape raises ValueError."""
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            raise ValueError(f"a report string needs JSON escaping: {value!r}")
+        return f'"{value}"'
+    if value is None or isinstance(value, int):  # a bool is an int: str(True).lower() is "true"
+        return "null" if value is None else str(value).lower()
+    if isinstance(value, dict):
+        items, ends = [f"{_json_text(k)}: {_json_text(v, indent, depth + 1)}" for k, v in value.items()], "{}"
+    else:
+        items, ends = [_json_text(v, indent, depth + 1) for v in value], "[]"
+    if not items or indent is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    pad = "\n" + " " * (indent * (depth + 1))
+    return ends[0] + pad + f",{pad}".join(items) + "\n" + " " * (indent * depth) + ends[1]
+
+
+def _verify_reports(args: argparse.Namespace) -> List[VerificationReport]:
+    """The report of each suite `verify` selects, in `cli.SUITES` order."""
+    from .cli import RANDOM_LAMBDA_COUNT, SUITES, UsageError, _parse_lambda
+
+    if args.suite in ("eq19", "eq26"):  # the derivative suites sweep no lambda
+        for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to suite {args.suite!r}")
+    if args.lam:
+        lambdas: Tuple[Fraction, ...] = tuple(_parse_lambda(t) for t in args.lam)
+        if args.suite == "replay" and any(v == 0 for v in lambdas):
+            raise UsageError("lambda=0 invalid for replay")
+    else:
+        lambdas = DEFAULT_LAMBDAS
+    if args.seed is not None:
+        lambdas = lambdas + random_lambdas(RANDOM_LAMBDA_COUNT, args.seed)
+    replay_lambdas = tuple(v for v in lambdas if v != 0)
+    wanted = SUITES[1:] if args.suite == "all" else (args.suite,)
+    if "replay" in wanted and not replay_lambdas:  # refused before any suite runs
+        raise UsageError("replay requires at least one nonzero lambda")
+
+    reports = [
+        verify_scaling_identity(args.n_max, lambdas, form)
+        for suite, form in (("eq9", FORM_DERIVATIVE), ("eq13", FORM_LEGENDRE)) if suite in wanted
+    ]
+    # one (n, k) pass; eq19 brings eq24-rows, its solve's surplus rows
+    subjects = ("eq19", "eq24-rows") * ("eq19" in wanted) + ("eq26-vs-telescoping",) * ("eq26" in wanted)
+    if subjects:
+        reports += _derivative_reports(args.n_max, subjects)
+    if "replay" in wanted:
+        reports.append(verify_replay(args.n_max, replay_lambdas))
+    return reports
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _emit
+
+    reports = _verify_reports(args)
+    all_passed = all(r.passed for r in reports)
+    if args.format == "csv":
+
+        def quoted(text: str) -> str:  # as csv.QUOTE_MINIMAL quotes a cell holding '"'
+            return '"' + text.replace('"', '""') + '"'
+
+        header = ("subject", "status", "n_min", "n_max", "k_min", "k_max", "lambdas", "counterexample")
+        chunks = [",".join(map(str, row)) + "\n" for row in (header, *(
+            (
+                r.subject, r.status, *r.n_range, *(r.k_range or ("", "")),
+                " ".join(map(format_rational, r.lambdas or ())),
+                quoted(_json_text(r.counterexample.to_json())) if r.counterexample else "",
+            )
+            for r in reports
+        ))]
+    else:
+        payload = {"n_max": args.n_max, "status": "pass" if all_passed else "fail",
+                   "suites": [r.to_json() for r in reports]}
+        chunks = [_json_text(payload, 2) + "\n"]
+    _emit(args, chunks)
+    for r in reports:
+        sys.stderr.write(f"{r.subject:<24}{r.status}  {r.cases} cases\n")
+    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

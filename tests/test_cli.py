@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import legscale.cli
+import legscale.derivatives
 import legscale.output
 import legscale.verify
 from legscale import deriv_expand_closed, expand_derivative_form, expand_legendre_form, legendre_bonnet
@@ -357,18 +358,19 @@ class TestVerify:
         ("eq19", "_triangular"), ("eq26", "_alpha_values"),
     ], ids=["eq19-deriv_expand_triangular", "eq26-deriv_expand_recurrence"])
     def test_csv_report_quotes_a_counterexample_as_csv_does(self, capsys, monkeypatch, suite, route):
-        # `route` is the integer core of the named public function, which verify reads
-        real = getattr(legscale.verify, route)
+        # `route` is the integer core of the named public function, which the
+        # derivative pass looks up in `legscale.derivatives` when it runs
+        real = getattr(legscale.derivatives, route)
 
         def corrupted(n, k, *rest):
             alphas = real(n, k, *rest)
             return [alphas[0] + 1] + alphas[1:] if (n, k) == (4, 2) else alphas
 
-        monkeypatch.setattr(legscale.verify, route, corrupted)
+        monkeypatch.setattr(legscale.derivatives, route, corrupted)
         code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "5", "--format", "csv")
         assert code == 1
         args = legscale.cli.build_parser().parse_args(["verify", suite, "--n-max", "5"])
-        reports = legscale.output._verify_reports(args)
+        reports = legscale.verify._verify_reports(args)
         assert any(r.counterexample for r in reports)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -383,25 +385,30 @@ class TestVerify:
 
     def test_derivative_suites_share_one_pass(self, capsys, monkeypatch):
         # eq19 and eq24-rows read one triangular solve per (n, k), over z-rows
-        # built once per run; eq26 alone reads no P_m and makes no solve.
+        # built once per run; eq26 alone reads no P_m and makes no solve. The
+        # pass looks its routes up in `legscale.derivatives`, where each solve
+        # also makes its own target, one `_murphy_scaled(n, k)`.
         calls = {}
 
-        def counting(name):
-            real, log = getattr(legscale.verify, name), calls.setdefault(name, [])
+        def counting(module, name):
+            real, log = getattr(module, name), calls.setdefault(name, [])
 
             def wrapper(*args):
                 log.append(args)
                 return real(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_triangular", "_murphy_scaled", "_bonnet_rows"):
-            monkeypatch.setattr(legscale.verify, name, counting(name))
+        for module, name in ((legscale.derivatives, "_triangular"), (legscale.derivatives, "_murphy_scaled"),
+                             (legscale.verify, "_bonnet_rows")):
+            counting(module, name)
         code, _, err = run_cli(capsys, "verify", "eq19", "--n-max", "20")
         assert code == 0
         assert err == "eq19                    pass  273 cases\neq24-rows               pass  231 cases\n"
-        assert [(n, k) for n, k, _ in calls["_triangular"]] == [(n, k) for n in range(21) for k in range(n + 3)]
-        assert len(calls["_bonnet_rows"]) == 1 and len(calls["_murphy_scaled"]) == 21
+        cases = [(n, k) for n in range(21) for k in range(n + 3)]
+        assert [(n, k) for n, k, _ in calls["_triangular"]] == cases
+        assert len(calls["_bonnet_rows"]) == 1
+        assert calls["_murphy_scaled"] == [(m, 0) for m in range(21)] + cases  # the rows once, then the targets
         for log in calls.values():
             log.clear()
         code, _, err = run_cli(capsys, "verify", "eq26", "--n-max", "20")
@@ -421,8 +428,12 @@ class TestVerify:
         # Each corruption reaches one route that the suites of the derivative
         # pass read differently; the report bytes and the case counts are
         # pinned from the separate sweeps that the pass replaced.
-        name = {"z-row": "_z_form", "recurrence": "_alpha_values", "combination": "_combination"}[corruption]
-        real, done = getattr(legscale.verify, name), []
+        # the pass looks its routes up in `legscale.derivatives`, the rest in `legscale.verify`
+        module, name = {
+            "z-row": (legscale.verify, "_z_form"), "recurrence": (legscale.derivatives, "_alpha_values"),
+            "combination": (legscale.verify, "_combination"),
+        }[corruption]
+        real, done = getattr(module, name), []
 
         def corrupted(*args):
             out = real(*args)
@@ -436,7 +447,7 @@ class TestVerify:
                 return out + legscale.polynomials.Poly.one()
             return out
 
-        monkeypatch.setattr(legscale.verify, name, corrupted)
+        monkeypatch.setattr(module, name, corrupted)
         code, out, stderr = run_cli(capsys, "verify", argv[0], "--n-max", "12", *argv[1:])
         assert code == 1
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -487,6 +498,114 @@ class TestVerify:
         calls.clear()
         assert run_cli(capsys, "verify", "eq26", "--n-max", "20")[0] == 0
         assert calls == []
+
+
+class TestVerifyJsonText:
+    """`verify` writes its JSON as text; `json` is the oracle for every report shape."""
+
+    @staticmethod
+    def corrupt(monkeypatch, corruption):
+        """One failing report per params shape, or eq13's limit verdict turned false."""
+        if corruption == "eq9":  # (n, lambda, check): a_0 off by one at n = 2
+            real_form = legscale.verify._derivative_form
+
+            def bumped(p, q, n):
+                rows = list(real_form(p, q, n))
+                return [(rows[0][0] + rows[0][1], rows[0][1])] + rows[1:] if n == 2 else rows
+
+            monkeypatch.setattr(legscale.verify, "_derivative_form", bumped)
+        elif corruption in ("eq26", "eq24-rows"):  # (n, k, check) and (n, k, row, check)
+            name, bad = ("_alpha_values", (3, 2)) if corruption == "eq26" else ("_triangular", (3, 1))
+            real = getattr(legscale.derivatives, name)
+
+            def off_by_one(n, k, *rest):
+                alphas = real(n, k, *rest)
+                return [alphas[0] + 1] + alphas[1:] if (n, k) == bad else alphas
+
+            monkeypatch.setattr(legscale.derivatives, name, off_by_one)
+        elif corruption == "limit":  # a nonzero depth-k entry in Doha's k = 0 row
+            real_alphas = legscale.verify._doha_alphas
+            monkeypatch.setattr(legscale.verify, "_doha_alphas",
+                                lambda n, k: [1] + [1] * (n // 2) if k == 0 else real_alphas(n, k))
+
+    @pytest.mark.parametrize("corruption, argv, shape", [
+        (None, ("all",), None),
+        ("eq9", ("eq9", "--lambda=2", "--lambda=-3/5"), ("n", "lambda", "check")),
+        ("eq26", ("eq26",), ("n", "k", "check")),
+        ("eq24-rows", ("eq19",), ("n", "k", "row", "check")),
+        ("limit", ("eq13",), None),
+    ])
+    def test_text_is_json_dumps(self, capsys, monkeypatch, corruption, argv, shape):
+        self.corrupt(monkeypatch, corruption)
+        argv = ("verify", argv[0], "--n-max", "5", *argv[1:])
+        code, out, _ = run_cli(capsys, *argv)
+        reports = legscale.verify._verify_reports(legscale.cli.build_parser().parse_args(argv))
+        passed = all(r.passed for r in reports)
+        assert code == (0 if passed else 1)
+        payload = {"n_max": 5, "status": "pass" if passed else "fail", "suites": [r.to_json() for r in reports]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+        shapes = [tuple(r.counterexample.params) for r in reports if r.counterexample]
+        assert shape in shapes if shape else shapes == []
+        if corruption is None:  # eq19 ... eq26 sweep no lambda, the replay has no k
+            derivative_suites = {"eq19", "eq24-rows", "eq26-vs-telescoping"}
+            assert {r.subject for r in reports if r.lambdas is None} == derivative_suites
+            assert [r.subject for r in reports if r.k_range is None] == ["replay"]
+        if corruption == "limit":
+            assert passed and reports[0].details == {"limit_variants_agree": False}
+
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        cells = [row[-1] for row in csv.reader(io.StringIO(out))][1:]
+        assert cells == [json.dumps(r.counterexample.to_json()) if r.counterexample else "" for r in reports]
+
+    def test_nested_values_and_empty_containers(self):
+        value = {"a": [], "b": {}, "c": [1, -20, True, False, None, "7/3"], "d": {"e": [{"f": "x"}], "g": 0}}
+        for indent in (None, 2):
+            assert legscale.verify._json_text(value, indent) == json.dumps(value, indent=indent)
+
+    @pytest.mark.parametrize("text", ['say "x"', "back\\slash", "caf\u00e9", "tab\t", "line\n", "\x7f"])
+    def test_a_string_json_would_escape_raises(self, text):
+        assert json.dumps(text) != f'"{text}"'
+        for value in (text, {"params": {"check": text}}, {text: 1}):
+            with pytest.raises(ValueError, match="needs JSON escaping"):
+                legscale.verify._json_text(value, 2)
+
+
+class TestBuildParserForOneCommand:
+    """`main` builds the arguments of the invoked command alone; the parse is
+    the one a parser with every command's arguments makes."""
+
+    @pytest.mark.parametrize("argv, command", [
+        (("table", "a", "--n-max", "3", "--lambda", "-1/2", "--format", "json"), "table"),
+        (("expand", "deriv", "--n", "6", "--k", "2"), "expand"),
+        (("verify", "eq13", "--n-max", "3", "--lambda=2", "--lambda=-3/5", "--seed", "4"), "verify"),
+        (("eval", "--n", "2", "--lambda=7/3", "--x=-3/8", "--method", "b-form"), "eval"),
+        (("table", "--help"), "table"),
+        (("expand", "scaled", "--n", "x"), "expand"),
+        (("--", "verify", "eq9"), "verify"),
+        (("frobnicate", "--n", "2"), "frobnicate"),
+        ((), None),
+    ], ids=["table", "expand", "verify", "eval", "table help", "bad value", "dashdash", "unknown", "none"])
+    def test_same_parse_as_every_command_built(self, capsys, monkeypatch, argv, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+        outcomes = []
+        for parser in (legscale.cli.build_parser(command), legscale.cli.build_parser()):
+            try:
+                outcome = (parser.parse_args(argv), None)
+            except SystemExit as exc:
+                outcome = (None, exc.code)
+            outcomes.append((*outcome, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+        built, real = [], legscale.cli.build_parser  # and `main` builds for this command
+        monkeypatch.setattr(legscale.cli, "build_parser",
+                            lambda command=None: built.append(command) or real(command))
+        monkeypatch.setattr(legscale.cli, "_cmd_eval", lambda args: 0)
+        monkeypatch.setattr(legscale.output, "_cmd_table", lambda args: 0)
+        monkeypatch.setattr(legscale.output, "_cmd_expand", lambda args: 0)
+        monkeypatch.setattr(legscale.verify, "_cmd_verify", lambda args: 0)
+        main(list(argv))
+        capsys.readouterr()
+        assert built == [command]
 
 
 class TestEval:

@@ -331,7 +331,7 @@ def test_surplus_rows_name_the_fraction_counterexample(n, data, deltas):
 
     expected, cases = ref_surplus_rows(n, corrupted)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(legscale.verify, "_triangular", corrupted_core)
+        patch.setattr(legscale.derivatives, "_triangular", corrupted_core)
         report = verify_surplus_rows(n)
     assert report.cases == cases
     if expected is None:

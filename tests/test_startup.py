@@ -14,16 +14,18 @@ import legscale
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Stdlib modules a light command must not load: `dataclasses` pulls in
-# `inspect` and `ast`; `json` and `csv` serve output formats (`table` and
-# `expand` write theirs as text).
+# `inspect` and `ast`; `json` and `csv` serve output formats (every command
+# writes its own as text).
 HEAVY = {"dataclasses", "inspect", "json", "csv"}
 
 # The legscale modules each command loads: `eval` evaluates by scalar
 # recurrences and compiles no other command, `table` and `expand` compute
-# coefficients only, in `output`, and `verify` runs the sweeps.
+# coefficients only, in `output`, and `verify` runs the sweeps in `verify`,
+# adding the derivative routes only for the suites that read them.
 CLI = {"legscale", "legscale.cli", "legscale.rationals", "legscale.scaling"}
 OUTPUT = CLI | {"legscale.output"}
-VERIFY = OUTPUT | {"legscale.polynomials", "legscale.derivatives", "legscale.verify"}
+VERIFY = CLI | {"legscale.polynomials", "legscale.verify"}
+DERIVATIVE_VERIFY = VERIFY | {"legscale.derivatives"}
 
 
 def loaded_modules(code: str) -> set:
@@ -47,33 +49,47 @@ def invoke(*argv):
     return f"from legscale.cli import main\nmain({list(argv)!r})"
 
 
+SUITES = ("eq9", "eq13", "eq19", "eq26", "replay")
+
+# (test id, code, the legscale modules it loads). `table` and `expand` load
+# no `verify`, and only eq19 and eq26 load `derivatives`.
+LIGHT_PATHS = [
+    ("cli", "import legscale.cli", CLI),
+    *(
+        (f"eval {method}", invoke("eval", "--method", method, "--n", "9", "--lambda", "7/3", "--x", "3/8"), CLI)
+        for method in ("direct", "a-form", "b-form")
+    ),
+    ("table a", invoke("table", "a", "--n-max", "4", "--lambda", "2"), OUTPUT),
+    ("table alpha", invoke("table", "alpha", "--n-max", "4"), OUTPUT),
+    ("table a json", invoke("table", "a", "--lambda", "2", "--n-max", "4", "--format", "json"), OUTPUT),
+    ("table alpha json", invoke("table", "alpha", "--n-max", "4", "--format", "json"), OUTPUT),
+    ("table b", invoke("table", "b", "--n-max", "4", "--lambda", "2"), OUTPUT),
+    ("expand scaled", invoke("expand", "scaled", "--n", "6", "--lambda", "2"), OUTPUT),
+    ("expand deriv", invoke("expand", "deriv", "--n", "6", "--k", "2"), OUTPUT),
+    ("expand scaled csv", invoke("expand", "scaled", "--n", "6", "--lambda", "2", "--format", "csv"), OUTPUT),
+    ("expand deriv csv", invoke("expand", "deriv", "--n", "6", "--k", "2", "--format", "csv"), OUTPUT),
+    ("verify csv", invoke("verify", "eq26", "--n-max", "3", "--format", "csv"), DERIVATIVE_VERIFY),
+    *(
+        (f"verify {suite} {fmt}", invoke("verify", suite, "--n-max", "3", "--format", fmt),
+         DERIVATIVE_VERIFY if suite in ("eq19", "eq26") else VERIFY)
+        for suite in SUITES for fmt in ("json", "csv") if (suite, fmt) != ("eq26", "csv")
+    ),
+    ("verify all", invoke("verify", "all", "--n-max", "3"), DERIVATIVE_VERIFY),
+]
+
+
 @pytest.mark.parametrize(
-    "code, allowed, modules",
-    [
-        ("import legscale.cli", set(), CLI),
-        *(
-            (invoke("eval", "--method", method, "--n", "9", "--lambda", "7/3", "--x", "3/8"), set(), CLI)
-            for method in ("direct", "a-form", "b-form")
-        ),
-        (invoke("table", "a", "--n-max", "4", "--lambda", "2"), set(), OUTPUT),
-        (invoke("table", "alpha", "--n-max", "4"), set(), OUTPUT),
-        (invoke("table", "a", "--lambda", "2", "--n-max", "4", "--format", "json"), set(), OUTPUT),
-        (invoke("table", "alpha", "--n-max", "4", "--format", "json"), set(), OUTPUT),
-        (invoke("verify", "eq26", "--n-max", "3", "--format", "csv"), {"json"}, VERIFY),
-        (invoke("table", "b", "--n-max", "4", "--lambda", "2"), set(), OUTPUT),
-        (invoke("expand", "scaled", "--n", "6", "--lambda", "2"), set(), OUTPUT),
-        (invoke("expand", "deriv", "--n", "6", "--k", "2"), set(), OUTPUT),
-        (invoke("expand", "scaled", "--n", "6", "--lambda", "2", "--format", "csv"), set(), OUTPUT),
-        (invoke("expand", "deriv", "--n", "6", "--k", "2", "--format", "csv"), set(), OUTPUT),
-    ],
-    ids=["cli", "eval direct", "eval a-form", "eval b-form", "table a", "table alpha", "table a json",
-         "table alpha json", "verify csv", "table b", "expand scaled", "expand deriv", "expand scaled csv",
-         "expand deriv csv"],
+    "code, modules", [path[1:] for path in LIGHT_PATHS], ids=[path[0] for path in LIGHT_PATHS]
 )
-def test_light_paths_load_no_heavy_module(baseline, code, allowed, modules):
+def test_light_paths_load_no_heavy_module(baseline, code, modules):
     added = loaded_modules(code) - baseline
-    assert not added & (HEAVY - allowed), sorted(added)
+    assert not added & HEAVY, sorted(added)
     assert {m for m in added if m.split(".")[0] == "legscale"} == modules
+
+
+def test_verify_module_loads_no_cli_or_argparse(baseline):
+    added = loaded_modules("import legscale.verify") - baseline
+    assert not added & {"legscale.cli", "legscale.output", "legscale.derivatives", "argparse"}, sorted(added)
 
 
 def test_package_import_loads_no_submodule(baseline):

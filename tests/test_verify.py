@@ -59,8 +59,7 @@ class TestSweepsPass:
             calls.append((n, k))
             return real(n, k)
 
-        for module in (legscale.derivatives, legscale.verify):
-            monkeypatch.setattr(module, "_murphy_scaled", counting)
+        monkeypatch.setattr(legscale.derivatives, "_murphy_scaled", counting)
         report = verify_derivative_identity(80)
         assert report.passed and report.cases == 3483  # k <= n+2 for n <= 80
         assert len(calls) == 3483 + 81
@@ -216,7 +215,7 @@ class TestReportMachinery:
     # One route corrupted at two cases: the report names the earlier one in
     # sweep order. Where a suite has an inner index, the later case has the
     # smaller one, which tells n-major order from any other. Each patch
-    # replaces the integer core that verify reads.
+    # replaces the integer core that verify reads, where verify looks it up.
 
     def test_first_failure_eq13_projection(self, monkeypatch):
         def corrupted(p, rows):
@@ -233,7 +232,7 @@ class TestReportMachinery:
 
     def test_first_failure_eq19_route_mismatch(self, monkeypatch):
         corrupted = _bump_first_alpha(_alpha_values, {(3, 2), (4, 1)})
-        monkeypatch.setattr(legscale.verify, "_alpha_values", corrupted)
+        monkeypatch.setattr(legscale.derivatives, "_alpha_values", corrupted)
         report = verify_derivative_identity(6)
         assert report.status == "fail"
         assert report.counterexample.params == {
@@ -244,20 +243,25 @@ class TestReportMachinery:
     def test_eq19_solves_with_the_z_rows_it_builds(self, monkeypatch):
         # One wrong entry in the z-row of P_3 that the sweep hands the solve
         # leaves the z^3 pivot exact and breaks the division for the next
-        # unknown of (n, k) = (3, 0): the solve reads no row of its own.
-        real = legscale.verify._murphy_scaled
+        # unknown of (n, k) = (3, 0): the solve reads no row of its own. The
+        # sweep builds its rows first, so the first (3, 0) call makes the row
+        # and the later one the solve's target, which stays exact.
+        real, done = legscale.derivatives._murphy_scaled, []
 
         def corrupted(n, k):
             row = real(n, k)
-            return row[:1] + [row[1] + 1] + row[2:] if (n, k) == (3, 0) else row
+            if (n, k) != (3, 0) or done:
+                return row
+            done.append((n, k))
+            return row[:1] + [row[1] + 1] + row[2:]
 
-        monkeypatch.setattr(legscale.verify, "_murphy_scaled", corrupted)
+        monkeypatch.setattr(legscale.derivatives, "_murphy_scaled", corrupted)
         with pytest.raises(ArithmeticError, match=r"inexact unknown 1 for \(n, k\) = \(3, 0\)"):
             verify_derivative_identity(6)
 
     def test_first_failure_eq24_rows(self, monkeypatch):
         corrupted = _bump_first_alpha(_triangular, {(3, 1), (4, 0)})
-        monkeypatch.setattr(legscale.verify, "_triangular", corrupted)
+        monkeypatch.setattr(legscale.derivatives, "_triangular", corrupted)
         report = verify_surplus_rows(6)
         assert report.subject == "eq24-rows"
         assert report.status == "fail"
@@ -265,7 +269,7 @@ class TestReportMachinery:
 
     def test_first_failure_eq26(self, monkeypatch):
         corrupted = _bump_first_alpha(_alpha_values, {(3, 2), (4, 1)})
-        monkeypatch.setattr(legscale.verify, "_alpha_values", corrupted)
+        monkeypatch.setattr(legscale.derivatives, "_alpha_values", corrupted)
         report = verify_recurrence_vs_telescoping(6)
         assert report.status == "fail"
         assert report.counterexample.params == {
