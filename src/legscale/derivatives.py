@@ -24,6 +24,11 @@ composes into the Legendre form. The routes' integer cores, `_telescoping`,
 return int lists that `verify` compares directly; the four `deriv_expand_*`
 functions wrap them and build one Fraction per output alpha.
 
+`verify`'s derivative pass steps two of its inputs along k: the
+telescoping alphas, one `_telescoping_pass` per order, and eq24-rows' left
+side, the z-form of d^k P_n, one `_z_step` per order from the substitution
+of P_n.
+
 Any disagreement between the routes, or with the formal derivative itself,
 signals a bug; the verification module sweeps exactly that.
 """
@@ -110,17 +115,26 @@ def _check_orders(n: int, k: int) -> None:
         raise ValueError("degree and order must be >= 0")
 
 
-def _telescoping(n: int, k: int) -> List[int]:
-    """The telescoping core: the alphas of d^k P_n as ints ([] when k > n).
+def _telescoping_pass(alphas: List[int], top: int) -> List[int]:
+    """One telescoping pass: the alphas at P_{top+1}, P_{top-1}, ... of a
+    function in, those of its derivative at P_top, P_{top-2}, ..., 0 or 1 out
+    ([] when top < 0).
 
-    Each pass replaces d/dx P_m with sum over m' = m-1, m-3, ... >= 0 of
-    (2m'+1) P_{m'}; the degrees of a pass share one parity, so P_t gets
-    (2t+1) times the running sum of c_m over m > t: O(n) per pass.
+    d/dx P_m is the sum over m' = m-1, m-3, ... >= 0 of (2m'+1) P_{m'}; the
+    degrees of a pass share one parity, so P_t gets (2t+1) times the running
+    sum of c_m over m > t: O(n) per pass.
+    """
+    return [(2 * (top - 2 * i) + 1) * total for i, total in zip(range(top // 2 + 1), accumulate(alphas))]
+
+
+def _telescoping(n: int, k: int) -> List[int]:
+    """The telescoping core: the alphas of d^k P_n as ints ([] when k > n), by k
+    passes of `_telescoping_pass` from P_n, the pass to order k leaving degrees
+    n-k, n-k-2, ...; a sweep along k runs one pass per order instead.
     """
     alphas = [1] + [0] * (n // 2)  # at P_n, P_{n-2}, ...; k = 0 keeps the computed zeros
-    for top in range(n - 1, n - k - 1, -1):  # a pass leaves degrees top, top-2, ..., 0 or 1
-        running = accumulate(alphas[: top // 2 + 1])
-        alphas = [(2 * (top - 2 * i) + 1) * total for i, total in enumerate(running)]
+    for top in range(n - 1, n - k - 1, -1):
+        alphas = _telescoping_pass(alphas, top)
     return alphas
 
 
@@ -167,6 +181,13 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
         raise ValueError("series form requires k <= n")
     scale = 2 ** k
     return tuple(Fraction(t, scale) for t in _murphy_scaled(n, k))
+
+
+def _z_step(nums: List[int]) -> List[int]:
+    """One d/dx on the numerators of a polynomial in powers of z = (1-x)/2 (as
+    `verify._z_form` writes it): d/dx = -1/2 d/dz, so c_j becomes
+    -(j+1) c_{j+1}, over twice the denominator. O(n)."""
+    return [-j * c for j, c in enumerate(nums) if j]
 
 
 def _triangular(n: int, k: int, z_rows: Sequence[List[int]] | Mapping[int, List[int]]) -> List[int]:

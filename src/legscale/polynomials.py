@@ -8,7 +8,10 @@ product on [-1, 1], projection onto the Legendre basis and the scaling
 expansions' bases (both read a walk of the Bonnet rows, not a cache), and
 the integer linear combination of polynomials. A `Poly` holds int
 numerators over one denominator, so all of these run in Python integers;
-Fractions are built only where values leave a polynomial.
+Fractions are built only where values leave a polynomial. The bases
+(`_basis_rows`) and the Rodrigues construction (`_rodrigues_row`) are built
+as integer rows laid out as the Bonnet rows are, which `verify` compares
+without building a `Poly`; the public functions wrap them in one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import index, mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
@@ -326,11 +329,13 @@ def _bonnet_rows() -> Iterator[List[int]]:
         prev, cur = cur, [(a * c - b * d) // m for c, d in zip(cur + [0], [0] + prev)]
 
 
-def _bonnet_poly(m: int, row: List[int]) -> Poly:
-    """P_m from row m of `_bonnet_rows`: the row's entries over 2^m."""
+def _bonnet_poly(m: int, row: List[int], den: int = 0) -> Poly:
+    """P_m from row m of `_bonnet_rows`: the row's entries over 2^m. With a
+    nonzero `den`, any row laid out as the Bonnet rows are (entry i at
+    x^(m-2i)), over `den`."""
     dense = [0] * (m + 1)
     dense[m::-2] = row
-    return Poly._of(dense, 2 ** m)
+    return Poly._of(dense, den or 2 ** m)
 
 
 @lru_cache(maxsize=BONNET_CACHE_SIZE)
@@ -349,49 +354,66 @@ def legendre_bonnet(n: int) -> Poly:
     return _bonnet_poly(n, next(islice(_bonnet_rows(), n, None)))
 
 
-def _basis(form: str, n: int, rows: Sequence[List[int]]) -> Tuple[Poly, ...]:
-    """The polynomials of `expansion_basis` from the Bonnet rows R_0 ... R_n."""
+def _basis_rows(form: str, n: int, rows: Sequence[List[int]]) -> List[List[int]]:
+    """The polynomials of `expansion_basis` from the Bonnet rows R_0 ... R_n,
+    as integer rows of degree n over 2^n laid out as the Bonnet rows are
+    (entry i at x^(n-2i)); row k is zero before entry k. Legendre form:
+    P_{n-2k} = R_{n-2k} / 2^(n-2k), so entry i is 4^k R_{n-2k}[i-k].
+    Derivative form: d^k sends the x^(n-k-2j) term of P_{n-k} to x^(n-2i),
+    i = j+k, times perm(n+k-2i, k), so entry i is 2^k perm(n+k-2i, k)
+    R_{n-k}[i-k]; the terms below x^k, which d^k kills, would lie past
+    i = n/2 and are cut."""
+    h = n // 2
     if form == FORM_DERIVATIVE:
-        return tuple(differentiate(_bonnet_poly(n - k, rows[n - k]), k) for k in range(n // 2 + 1))
-    return tuple(_bonnet_poly(n - 2 * k, rows[n - 2 * k]) for k in range(n // 2 + 1))
+        return [[0] * k + [c * perm(n + k - 2 * i, k) << k for i, c in enumerate(rows[n - k][: h - k + 1], k)]
+                for k in range(h + 1)]
+    return [[0] * k + [c << 2 * k for c in rows[n - 2 * k]] for k in range(h + 1)]
 
 
 def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
     """The polynomial ``coeffs[k]`` of a `scaling.ScalingExpansion` multiplies,
     for every k = 0 ... floor(n/2): d^k P_{n-k} (derivative form) or P_{n-2k}
-    (legendre form), all from one walk of the Bonnet rows."""
+    (legendre form), all from one walk of the Bonnet rows (`_basis_rows`)."""
     if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
         raise ValueError(f"unknown form {form!r}")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _basis(form, n, list(islice(_bonnet_rows(), n + 1)))
+    return tuple(_bonnet_poly(n, row, 2 ** n) for row in _basis_rows(form, n, list(islice(_bonnet_rows(), n + 1))))
 
 
-def _scaled_rodrigues(p: int, q: int, n: int) -> Poly:
+def _scaled_row(row: List[int], n: int, p: int, q: int) -> Tuple[List[int], int]:
+    """Row n of `_bonnet_rows` scaled to R_n(lam x), lam = p/q: the integer row
+    of P_n(lam x) over (2q)^n, entry i (at x^(n-2i)) R_n[i] p^(n-2i) q^(2i)."""
+    return [c * p ** (n - 2 * i) * q ** (2 * i) for i, c in enumerate(row)], (2 * q) ** n
+
+
+def _rodrigues_row(p: int, q: int, n: int) -> Tuple[List[int], int]:
     """P_n(lam*x), lam = p/q != 0, by the construction that
-    `verify.replay_rodrigues_derivation` replays: times p^(2n), its binomial
-    sum has the integer terms C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and
-    with the prefactor they stand over p^n q^n 2^n n!. D^n keeps only their
-    x^(2j) with 2j >= n, so k starts at ceil(n/2) and j steps down from k by
-    the exact ratio C(k,j-1) = C(k,j) j / (k-j+1), the sign alternating."""
+    `verify.replay_rodrigues_derivation` replays, as an integer row of degree
+    n (entry i at x^(n-2i)) over p^n (2q)^n: times p^(2n), its binomial sum
+    has the integer terms C(n,k) (p^2-q^2)^(n-k) p^(2k) (x^2-1)^k, and with
+    the prefactor they stand over p^n q^n 2^n n!. D^n keeps only their x^(2j)
+    with 2j >= n, so k starts at ceil(n/2) and j steps down from k by the
+    exact ratio C(k,j-1) = C(k,j) j / (k-j+1), the sign alternating; D^n / n!
+    then sends x^(2j) to C(2j, n) x^(2j-n), entry i = n-j."""
     shift = p * p - q * q
     half = (n + 1) // 2  # the least j with 2j >= n
-    acc = [0] * (2 * n + 1)
+    acc = [0] * (n - half + 1)  # entry n-j: x^(2j)
     for k in range(half, n + 1):
         c = comb(n, k) * shift ** (n - k) * p ** (2 * k)  # times (-1)^(k-j) C(k,j) at j = k
         for j in range(k, half - 1, -1):
-            acc[2 * j] += c
+            acc[n - j] += c
             c = -c * j // (k - j + 1)
-    return differentiate(Poly.from_integer_form(acc, p ** n * (2 * q) ** n * factorial(n)), n)
+    return [c * comb(2 * (n - i), n) for i, c in enumerate(acc)], p ** n * (2 * q) ** n
 
 
 def legendre_rodrigues(n: int) -> Poly:
     """P_n as the n-th derivative of (x^2-1)^n divided by 2^n n!: the derivation
-    replay's core `_scaled_rodrigues` at lam = 1. Its binomial expansion shares
+    replay's core `_rodrigues_row` at lam = 1. Its binomial expansion shares
     no recurrence with `legendre_bonnet`."""
     if n < 0:
         raise ValueError("Legendre degree must be >= 0")
-    return _scaled_rodrigues(1, 1, n)
+    return _bonnet_poly(n, *_rodrigues_row(1, 1, n))
 
 
 def legendre_murphy(n: int) -> Poly:
@@ -461,12 +483,13 @@ def inner_product(p: Poly, q: Poly) -> Fraction:
     return Fraction(total, big_l * prod._den)
 
 
-def _projection(p: Poly, rows: Iterable[List[int]]) -> List[Tuple[int, int, int]]:
+def _projection(nums: Sequence[int], den: int, rows: Iterable[List[int]]) -> List[Tuple[int, int, int]]:
     """The integer core of `project_to_legendre`: (m, numerator, denominator),
     unreduced, for each degree m whose coefficient is nonzero, ascending.
 
-    With p = sum_i N_i x^i / D of degree n, L = lcm(1, 3, ..., 2n+1) and the
-    integer moments M_j = sum_{i = j mod 2} N_i * L / (i+j+1), so that
+    With p = sum_i N_i x^i / D for the numerators N_i = nums[i], i = 0 ... n,
+    of any D > 0 (not necessarily reduced; top zeros allowed), L = lcm(1, 3,
+    ..., 2n+1) and the integer moments M_j = sum_{i = j mod 2} N_i * L / (i+j+1), so that
     int_{-1}^{1} x^j p = 2 M_j / (D L), and with R_m[j] the x^j coefficient
     of R_m = 2^m P_m, row m of `rows` (as `_bonnet_rows` yields them),
 
@@ -477,7 +500,6 @@ def _projection(p: Poly, rows: Iterable[List[int]]) -> List[Tuple[int, int, int]
     coefficients are computed, not assumed; this keeps the projection usable
     as an independent check on any coefficient formula. O(n^2) products.
     """
-    nums, den = p._nums, p._den
     size = len(nums)
     big_l = lcm(*range(1, 2 * size, 2))
     weights = [big_l // d for d in range(1, 2 * size, 2)]  # entry t is L/(2t+1)
@@ -495,7 +517,7 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     """Legendre coefficients by exact integration: c_m = (2m+1)/2 * <p, P_m>,
     one Fraction per nonzero coefficient of `_projection` over one walk of
     the Bonnet rows."""
-    return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p, _bonnet_rows()))
+    return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p._nums, p._den, _bonnet_rows()))
 
 
 def _combination(weights: Iterable[Tuple[int, int]], parts: Sequence[Poly]) -> Poly:

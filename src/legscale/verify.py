@@ -8,10 +8,14 @@ the public whole-expansion functions wrap, never from the scalar coefficient
 formulas (`a_coefficient`, `b_coefficient`, `alpha_*`); eq13's untruncated
 depth terms come from Doha's k = 0 row, and the replay is the Rodrigues core
 `legendre_rodrigues` shares. The target side is built from polynomial
-primitives alone. One driver records each suite's first failing case in
-sweep order with full coefficient dumps of both sides: an index-convention
-slip is the likeliest failure, and raw dumps localize it. A passing case
-builds no Fraction.
+primitives alone. eq9, eq13 and the replay compare integer rows read from
+one walk of the Bonnet rows, each n's basis shared by every lambda; the
+derivative pass steps the telescoping alphas and eq24-rows' z-form of
+d^k P_n from k-1 to k. One driver records each suite's first failing case
+in sweep order with full coefficient dumps of both sides: an
+index-convention slip is the likeliest failure, and raw dumps localize it.
+A passing case builds no Fraction, and a `Poly` only for eq19's
+comparison with the formal derivative.
 
 The `verify` command lives here beside the sweeps and writes its reports as
 JSON text. Its `cli` names and the derivative routes are imported where they
@@ -22,11 +26,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polynomials import (
-    Poly, _basis, _bonnet_poly, _bonnet_rows, _combination, _projection, _scaled_rodrigues, differentiate,
-    scale_argument,
+    Poly, _basis_rows, _bonnet_poly, _bonnet_rows, _combination, _projection, _rodrigues_row, _scaled_row,
+    differentiate,
 )
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
@@ -118,6 +125,15 @@ def _poly_mismatch(params: Dict[str, object], claimed: Poly, target: Poly) -> Co
     return Counterexample(params, lhs, rhs)
 
 
+def _row_mismatch(n, lam, check, claimed, target):
+    """None if two (row, denominator) pairs of degree n, laid out as the Bonnet
+    rows are, agree (by cross-multiplying); else both sides' dump."""
+    (nums, den), (nums2, den2) = claimed, target
+    if all(c * den2 == t * den for c, t in zip(nums, nums2)):
+        return None
+    return _poly_mismatch(_lambda_params(n, lam, check), _bonnet_poly(n, *claimed), _bonnet_poly(n, *target))
+
+
 def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     values = tuple(as_rational(v) for v in lambdas)
     if not values:
@@ -163,12 +179,14 @@ def verify_scaling_identity(
 ) -> VerificationReport:
     """Check every claimed expansion of P_n(lam*x) against direct scaling.
 
-    For each (n, lam) the claimed coefficients are recombined with freshly
-    built basis polynomials and compared with scale_argument(P_n, lam). In
-    the legendre form the coefficients are additionally matched one by one
-    against exact-projection values, and the truncated/untruncated depth
-    sums, which differ by lam^n times entries 1 ... floor(n/2) of Doha's k = 0
-    row, are compared, with the verdict recorded under details["limit_variants_agree"].
+    For each (n, lam) the claimed coefficients are recombined with the
+    integer basis rows of n and compared by cross-multiplying with the row
+    of P_n(lam x), R_n[i] p^(n-2i) q^(2i) over (2q)^n: both read one walk of
+    the Bonnet rows. In the legendre form the coefficients are additionally
+    matched one by one against exact-projection values of that row, and the
+    truncated/untruncated depth sums, which differ by lam^n times entries
+    1 ... floor(n/2) of Doha's k = 0 row, are compared once per n, with the
+    verdict recorded under details["limit_variants_agree"].
     """
     if form not in (FORM_DERIVATIVE, FORM_LEGENDRE):
         raise ValueError(f"unknown form {form!r}")
@@ -176,42 +194,43 @@ def verify_scaling_identity(
     legendre = form == FORM_LEGENDRE
     details: Dict[str, object] = {"limit_variants_agree": True} if legendre else {}
 
-    def check(n: int, p_n: Poly, parts: Tuple[Poly, ...], lam: Fraction) -> Optional[Counterexample]:
+    def check(n: int, lam: Fraction, row: List[int], columns: list, depth_k: bool) -> Optional[Counterexample]:
         p, q = lam.numerator, lam.denominator
-        target = scale_argument(p_n, lam)
         weights = list((_legendre_form if legendre else _derivative_form)(p, q, n))
-        if legendre and p and any(_doha_alphas(n, 0)[1:]):
+        if p and depth_k:
             details["limit_variants_agree"] = False
-        rebuilt = _combination(weights, parts)
-        if rebuilt != target:
-            return _poly_mismatch(_lambda_params(n, lam, "reconstruction"), rebuilt, target)
-        if legendre:
-            claimed = [(n - 2 * k, num, den) for k, (num, den) in enumerate(weights) if num][::-1]
-            projected = _projection(target, bonnet_rows)
-            if len(claimed) != len(projected) or any(
-                m != m2 or num * den2 != num2 * den
-                for (m, num, den), (m2, num2, den2) in zip(claimed, projected)
-            ):
-                return Counterexample(
-                    _lambda_params(n, lam, "projection"), _series_dump(claimed, n), _series_dump(projected, n)
-                )
+        target, target_den = _scaled_row(row, n, p, q)
+        common = lcm(*(den for _, den in weights))
+        scales = [num * (common // den) for num, den in weights]
+        rebuilt = [sum(map(mul, scales, column)) for column in columns]  # over 2^n common
+        mismatch = _row_mismatch(n, lam, "reconstruction", (rebuilt, common << n), (target, target_den))
+        if mismatch or not legendre:
+            return mismatch
+        claimed = [(n - 2 * k, num, den) for k, (num, den) in enumerate(weights) if num][::-1]
+        dense = [0] * (n + 1)  # the target's x^0 ... x^n numerators
+        dense[n::-2] = target
+        projected = _projection(dense, target_den, bonnet_rows)
+        if len(claimed) != len(projected) or any(
+            m != m2 or num * den2 != num2 * den
+            for (m, num, den), (m2, num2, den2) in zip(claimed, projected)
+        ):
+            return Counterexample(
+                _lambda_params(n, lam, "projection"), _series_dump(claimed, n), _series_dump(projected, n)
+            )
         return None
 
-    # One Bonnet walk serves every P_n, basis and projection; each n's are shared by every lambda.
-    bonnet_rows = [row for _, row in zip(range(n_max + 1), _bonnet_rows())]
+    # One Bonnet walk serves every target, basis and projection. Each n's basis, as
+    # columns (column i: entry i of every basis row), and Doha verdict serve every lambda.
+    bonnet_rows = list(islice(_bonnet_rows(), n_max + 1))
     cases = (
-        (n, p_n, parts, lam)
+        (n, lam, row, columns, depth_k)
         for n, row in enumerate(bonnet_rows)
-        for p_n, parts in ((_bonnet_poly(n, row), _basis(form, n, bonnet_rows)),)
+        for columns, depth_k in ((list(zip(*_basis_rows(form, n, bonnet_rows))),
+                                  legendre and any(_doha_alphas(n, 0)[1:])),)
         for lam in values
     )
     subject = "eq13" if legendre else "eq9"
     return _report(n_max, cases, {subject: check}, (0, n_max // 2), values, details)[0]
-
-
-def _legendre_polys(n_max: int) -> List[Poly]:
-    """P_0 ... P_n_max from one walk of the Bonnet rows."""
-    return [_bonnet_poly(m, row) for m, row in zip(range(n_max + 1), _bonnet_rows())]
 
 
 def _lambda_params(n: int, lam: Fraction, check: str) -> Dict[str, object]:
@@ -248,24 +267,28 @@ def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
 
 def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[VerificationReport]:
     """The reports of `subjects` (eq19, eq24-rows, eq26-vs-telescoping) from one
-    pass over (n, k <= n, and n+1, n+2 for eq19) that builds each route and d^k P_n
-    once a case, and only the routes (imported here: eq9, eq13 and the replay
-    never load them), derivatives, P_m and z-rows a subject reads.
+    pass over (n, k <= n, and n+1, n+2 for eq19) that steps the telescoping
+    alphas and eq24-rows' left side, the z-form of d^k P_n, from k-1 to k,
+    builds the other routes and d^k P_n once a case, and only the routes
+    (imported here: eq9, eq13 and the replay never load them), derivatives,
+    P_m and z-rows a subject reads.
     """
-    from .derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
+    from .derivatives import _alpha_values, _murphy_scaled, _telescoping_pass, _triangular, _z_step
 
     telescope = not {"eq19", "eq26-vs-telescoping"}.isdisjoint(subjects)
     solve = not {"eq19", "eq24-rows"}.isdisjoint(subjects)
-    legendre = _legendre_polys(n_max) if solve else []
+    legendre = [_bonnet_poly(m, row) for m, row in enumerate(islice(_bonnet_rows(), n_max + 1))] if solve else []
     murphy_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)] if solve else []
-    z_rows = []  # eq24-rows' own: P_m in powers of z by substitution
-    for m, p_m in enumerate(legendre if "eq24-rows" in subjects else ()):
-        nums, den = _z_form(p_m, m + 1)
+
+    def z_row(m):  # eq24-rows' own: P_m in powers of z by substitution
+        nums, den = _z_form(legendre[m], m + 1)
         if any(c % den for c in nums):
             raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
-        z_rows.append([c // den for c in nums])
+        return [c // den for c in nums]
 
-    def derivative(n, k, tele, scaled, recur, derived):  # int alphas: telescoping, 2^k triangular, recurrence
+    z_rows = [z_row(m) for m in range(n_max + 1)] if "eq24-rows" in subjects else []
+
+    def derivative(n, k, tele, scaled, recur, derived, lhs):  # int alphas: telescoping, 2^k triangular, recurrence
         routes = (
             ("triangular", scaled, [a << k for a in tele], 2 ** k),
             ("recurrence", recur, tele, 1),
@@ -284,24 +307,23 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
             return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, derived)
         return None
 
-    def surplus(n, k, tele, scaled, recur, derived):
+    def surplus(n, k, tele, scaled, recur, derived, lhs):  # lhs: 2^k times the z-form of d^k P_n
         if k > n:
             return False
         big_n = n - k
-        lhs, lhs_den = _z_form(derived, big_n + 1)
         rows = [z_rows[m] for m in range(big_n, -1, -2)]
         for j in range(1 - big_n % 2, big_n + 1, 2):  # the odd offsets big_n - j
-            # P_m has no z^j term past j = m
-            combined = sum(c * row[j] for c, row in zip(scaled, rows) if j < len(row))
-            if combined * lhs_den != lhs[j] << k:
+            # P_m has no z^j term past j = m: rows i <= (big_n - j) / 2 only
+            combined = sum(c * row[j] for c, row in zip(scaled[: (big_n - j) // 2 + 1], rows))
+            if combined != lhs[j]:
                 return Counterexample(
                     {"n": n, "k": k, "row": j, "check": "surplus-row"},
                     (format_rational(Fraction(combined, 2 ** k)),),
-                    (format_rational(Fraction(lhs[j], lhs_den)),),
+                    (format_rational(Fraction(lhs[j], 2 ** k)),),
                 )
         return None
 
-    def recurrence(n, k, tele, scaled, recur, derived):
+    def recurrence(n, k, tele, scaled, recur, derived, lhs):
         if k > n:
             return False
         if tele != recur:
@@ -312,15 +334,19 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
             )
         return None
 
-    cases = (
-        (n, k, _telescoping(n, k) if telescope else None, _triangular(n, k, murphy_rows) if solve else None,
-         _alpha_values(n, k, (n - k) // 2) if telescope else None,
-         differentiate(legendre[n], k) if solve else None)
-        for n in range(n_max + 1)
-        for k in range(n + 1 + 2 * ("eq19" in subjects))
-    )
+    def cases():
+        for n in range(n_max + 1):
+            # d^0 P_n; its z-form is a substitution of its own, so a wrong z-row shows at k = 0
+            tele, lhs = [1] + [0] * (n // 2), z_row(n) if z_rows else []
+            for k in range(n + 1 + 2 * ("eq19" in subjects)):
+                if k:  # one step from d^(k-1) P_n
+                    tele, lhs = _telescoping_pass(tele, n - k), _z_step(lhs)
+                yield (n, k, tele, _triangular(n, k, murphy_rows) if solve else None,
+                       _alpha_values(n, k, (n - k) // 2) if telescope else None,
+                       differentiate(legendre[n], k) if "eq19" in subjects else None, lhs)
+
     checks = {"eq19": derivative, "eq24-rows": surplus, "eq26-vs-telescoping": recurrence}
-    return _report(n_max, cases, {subject: checks[subject] for subject in subjects}, (0, n_max))
+    return _report(n_max, cases(), {subject: checks[subject] for subject in subjects}, (0, n_max))
 
 
 def verify_derivative_identity(n_max: int) -> VerificationReport:
@@ -345,7 +371,8 @@ def verify_surplus_rows(n_max: int) -> VerificationReport:
     satisfy every such surplus row exactly. The z-row of each basis
     polynomial P_m is substituted once per call; its entries are integers,
     (-1)^j C(m,j) C(m+j,j), so a row's sum stays over the 2^k of the
-    triangular core and is compared by cross-multiplying.
+    triangular core. So does the left side: the z-row of P_n, substituted
+    once more, stepped k times by d/dx = -1/2 d/dz, each step one O(n) pass.
     """
     return _derivative_reports(n_max, ("eq24-rows",))[0]
 
@@ -363,7 +390,7 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
     lam = 0 is rejected: this route divides by lam^2, unlike the
     coefficient formulas, which stay valid there.
 
-    The integer construction is `polynomials._scaled_rodrigues`, which
+    The integer construction is `polynomials._rodrigues_row`, which
     `legendre_rodrigues` runs at lam = 1.
     """
     factor = as_rational(lam)
@@ -371,22 +398,20 @@ def replay_rodrigues_derivation(lam: RationalLike, n: int) -> Poly:
         raise ValueError("lambda must be nonzero for the derivation replay")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _scaled_rodrigues(factor.numerator, factor.denominator, n)
+    return _bonnet_poly(n, *_rodrigues_row(factor.numerator, factor.denominator, n))
 
 
 def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS) -> VerificationReport:
-    """Compare the derivation replay with direct argument scaling."""
+    """Compare the derivation replay's integer row with the Bonnet row of P_n
+    scaled to P_n(lam x), by cross-multiplying."""
     values = _clean_lambdas(lambdas)
     if any(v == 0 for v in values):
         raise ValueError("lambda=0 invalid for replay")
-    legendre = _legendre_polys(n_max)
+    bonnet_rows = list(islice(_bonnet_rows(), n_max + 1))
 
     def check(n: int, lam: Fraction) -> Optional[Counterexample]:
-        replayed = replay_rodrigues_derivation(lam, n)
-        target = scale_argument(legendre[n], lam)
-        if replayed != target:
-            return _poly_mismatch(_lambda_params(n, lam, "replay"), replayed, target)
-        return None
+        p, q = lam.numerator, lam.denominator
+        return _row_mismatch(n, lam, "replay", _rodrigues_row(p, q, n), _scaled_row(bonnet_rows[n], n, p, q))
 
     cases = ((n, lam) for n in range(n_max + 1) for lam in values)
     return _report(n_max, cases, {"replay": check}, None, values)[0]

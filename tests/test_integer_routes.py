@@ -20,10 +20,17 @@ their derivatives, evaluated by Horner), and the derivative-form walk along
 k against the per-k ultraspherical runs it replaced. Each public expansion,
 alpha route and the projection is pinned against the integer core that
 `verify` reads, and the stepped binomials of `_z_form` against `math.comb`.
+The derivative pass steps two routes along k: the chain of telescoping
+passes is checked against the whole route, and the stepped z-form of d^k P_n
+against the substitution of the derivative itself; a mutant of either step
+must fail the pass. The integer rows of eq9, eq13 and the replay (the scaled
+Bonnet row, the basis rows, the Rodrigues row) are checked against the
+`Poly` routes they replaced.
 """
 
+import json
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import comb, factorial, prod
 
 import pytest
@@ -63,9 +70,9 @@ from legscale import (
     verify_surplus_rows,
 )
 from legscale.cli import main
-from legscale.derivatives import _alpha_values, _murphy_scaled, _telescoping, _triangular
+from legscale.derivatives import _alpha_values, _murphy_scaled, _telescoping, _telescoping_pass, _triangular, _z_step
 from legscale.rationals import as_rational, format_rational
-from legscale.polynomials import _bonnet_poly, _bonnet_rows, _projection
+from legscale.polynomials import _basis_rows, _bonnet_poly, _bonnet_rows, _projection, _rodrigues_row, _scaled_row
 from legscale.scaling import _a_rows, _basis_values, _derivative_form, _doha_alphas, _legendre_form
 from legscale.verify import _combination, _z_form
 
@@ -268,6 +275,23 @@ def ref_to_poly(series: LegendreSeries) -> Poly:
     return acc
 
 
+def ref_basis(form: str, n: int):
+    """The scaling bases as `Poly`s, each differentiated or read on its own."""
+    if form == FORM_DERIVATIVE:
+        return tuple(differentiate(legendre_bonnet(n - k), k) for k in range(n // 2 + 1))
+    return tuple(legendre_bonnet(n - 2 * k) for k in range(n // 2 + 1))
+
+
+def ref_scaled_rodrigues(p: int, q: int, n: int) -> Poly:
+    """The replay's binomial sum in ints over p^n q^n 2^n n!, every x^(2j)
+    kept, differentiated n times as one `Poly`."""
+    acc = [0] * (2 * n + 1)
+    for k in range(n + 1):
+        c = comb(n, k) * (p * p - q * q) ** (n - k) * p ** (2 * k)
+        for j in range(k + 1):
+            acc[2 * j] += (-1) ** (k - j) * comb(k, j) * c
+    return differentiate(Poly.from_integer_form(acc, p ** n * (2 * q) ** n * factorial(n)), n)
+
 # --- agreement ---
 
 
@@ -464,7 +488,7 @@ def test_scaling_wrappers_match_their_cores(lam):
         assert expand_legendre_form(lam, n).coeffs == tuple(Fraction(t, d) for t, d in b_rows), n
         assert expand_legendre_form_untruncated(lam, n).coeffs == tuple(untruncated), n
         target = scale_argument(legendre_bonnet(n), lam)
-        terms = _projection(target, _bonnet_rows())
+        terms = _projection(*target.integer_form, _bonnet_rows())
         assert all(num for _, num, _ in terms) and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
         assert project_to_legendre(target).terms == {m: Fraction(num, den) for m, num, den in terms}, n
         if n < 16:
@@ -666,3 +690,76 @@ def test_basis_values_match_the_basis_polynomials(form):
         for x in POINTS:
             expected = {k: part.evaluate(x) for k, part in enumerate(basis)}
             assert dict(basis_fractions(form, n, x, range(n // 2 + 1))) == expected, (n, x)
+
+
+def test_stepped_telescoping_passes_match_the_whole_route():
+    # The derivative pass runs one `_telescoping_pass` per order, from P_n itself.
+    for n in range(41):
+        alphas = [1] + [0] * (n // 2)
+        for k in range(n + 3):
+            if k:
+                alphas = _telescoping_pass(alphas, n - k)
+            assert alphas == _telescoping(n, k), (n, k)
+            assert tuple(map(Fraction, alphas)) == ref_telescoping(n, k), (n, k)
+
+
+def test_stepped_z_form_matches_the_substituted_derivative():
+    # eq24-rows' left side: the z-row of P_n stepped k times by d/dx = -1/2 d/dz
+    # holds 2^k times the z-form of d^k P_n, substituted afresh here.
+    for n in range(31):
+        p_n = legendre_bonnet(n)
+        nums, den = _z_form(p_n, n + 1)
+        lhs = [c // den for c in nums]  # P_n's z-row: integers
+        assert [c * den for c in lhs] == list(nums), n
+        for k in range(n + 3):
+            if k:
+                lhs = _z_step(lhs)
+            derived = differentiate(p_n, k)
+            nums, den = _z_form(derived, n - k + 1)  # no entries past k = n
+            assert [c * den for c in lhs] == [c << k for c in nums], (n, k)
+            assert tuple(Fraction(c, 2 ** k) for c in lhs) == ref_z_coeffs(derived, n - k + 1), (n, k)
+
+
+@pytest.mark.parametrize("file, old, new, failing", [
+    ("derivatives.py", "[-j * c for j, c", "[j * c for j, c", "eq24-rows"),
+    ("verify.py", "_telescoping_pass(tele, n - k)", "_telescoping_pass(tele, n - k + 1)", "eq19"),
+], ids=["z-step-sign", "pass-top"])
+def test_a_wrong_step_fails_the_derivative_pass(run_mutant, file, old, new, failing):
+    result = run_mutant(file, old, new, "verify", "eq19", "--n-max", "16")
+    assert result.returncode == 1 and "Traceback" not in result.stderr
+    suites = json.loads(result.stdout)["suites"]
+    assert [s["subject"] for s in suites if s["status"] == "fail"] == [failing]
+
+
+def test_the_pass_steps_instead_of_restarting(capsys, monkeypatch):
+    # No case restarts the telescoping route from P_n, and `_z_form` runs
+    # twice per P_m, never per (n, k): once for the basis z-row, once for the
+    # left side of d^0 P_m, which the pass then steps.
+    calls = {"_telescoping": [], "_z_form": []}
+    for module, name in ((legscale.derivatives, "_telescoping"), (legscale.verify, "_z_form")):
+        real, log = getattr(module, name), calls[name]
+        monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    assert main(["verify", "eq19", "--n-max", "20"]) == 0
+    capsys.readouterr()
+    assert calls["_telescoping"] == []
+    assert [(p.degree, width) for p, width in calls["_z_form"]] == [(m, m + 1) for m in range(21)] * 2
+
+
+@pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
+def test_rows_match_the_poly_routes_they_replace(lam):
+    # The target of eq9/eq13 and the replay is the Bonnet row scaled to
+    # P_n(lam x); the replay's claim is the Rodrigues row.
+    p, q = lam.numerator, lam.denominator
+    for n, row in zip(range(41), _bonnet_rows()):
+        assert _bonnet_poly(n, *_scaled_row(row, n, p, q)) == scale_argument(legendre_bonnet(n), lam), n
+        if p:
+            assert _bonnet_poly(n, *_rodrigues_row(p, q, n)) == ref_scaled_rodrigues(p, q, n), n
+
+
+@pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+def test_basis_rows_match_the_poly_basis(form):
+    rows = list(islice(_bonnet_rows(), 41))
+    for n in range(41):
+        basis = _basis_rows(form, n, rows)
+        assert all(len(r) == n // 2 + 1 and not any(r[:k]) for k, r in enumerate(basis)), n
+        assert tuple(_bonnet_poly(n, r, 2 ** n) for r in basis) == ref_basis(form, n) == expansion_basis(form, n), n

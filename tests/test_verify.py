@@ -13,6 +13,9 @@ from legscale import (
     NONZERO_LAMBDAS,
     Poly,
     VerificationReport,
+    expand_derivative_form,
+    expand_legendre_form,
+    expansion_basis,
     legendre_bonnet,
     random_lambdas,
     replay_rodrigues_derivation,
@@ -24,7 +27,8 @@ from legscale import (
     verify_surplus_rows,
 )
 from legscale.derivatives import _alpha_values, _triangular
-from legscale.polynomials import _projection
+from legscale.polynomials import _projection, _rodrigues_row
+from legscale.rationals import format_rational
 from legscale.scaling import _derivative_form
 
 
@@ -170,6 +174,20 @@ def _bump_a0(bad_degrees):
     return corrupted
 
 
+def _poly_sum(coeffs, parts):
+    """sum_k coeffs[k] * parts[k] in `Poly` arithmetic."""
+    total = Poly.zero()
+    for c, part in zip(coeffs, parts):
+        total = total + c * part
+    return total
+
+
+def _dumps(claimed, target):
+    """Both sides' monomial coefficients, zero-padded, as the `Poly` sweeps printed them."""
+    width = max(len(claimed.coeffs), len(target.coeffs), 1)
+    return [[format_rational(p.coefficient(m)) for m in range(width)] for p in (claimed, target)]
+
+
 class TestReportMachinery:
     def test_status_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -218,9 +236,9 @@ class TestReportMachinery:
     # replaces the integer core that verify reads, where verify looks it up.
 
     def test_first_failure_eq13_projection(self, monkeypatch):
-        def corrupted(p, rows):
-            terms = _projection(p, rows)
-            if p.degree in (3, 5):  # c_0 + 1
+        def corrupted(nums, den, rows):  # the target's numerators x^0 ... x^n over den
+            terms = _projection(nums, den, rows)
+            if len(nums) - 1 in (3, 5):  # c_0 + 1
                 head = terms[0] if terms and terms[0][0] == 0 else (0, 0, 1)
                 terms = [(0, head[1] + head[2], head[2])] + [t for t in terms if t[0]]
             return terms
@@ -277,17 +295,58 @@ class TestReportMachinery:
         }
 
     def test_first_failure_replay(self, monkeypatch):
-        real = replay_rodrigues_derivation
         bad_cases = {(2, Fraction(1, 2)), (3, Fraction(2))}
 
-        def corrupted(lam, n):
-            replayed = real(lam, n)
-            return replayed + Poly.one() if (n, lam) in bad_cases else replayed
+        def corrupted(p, q, n):  # the lowest-degree entry + 1: P_2(x/2) + 1 at (2, 1/2)
+            row, den = _rodrigues_row(p, q, n)
+            return (row[:-1] + [row[-1] + den], den) if (n, Fraction(p, q)) in bad_cases else (row, den)
 
-        monkeypatch.setattr(legscale.verify, "replay_rodrigues_derivation", corrupted)
+        monkeypatch.setattr(legscale.verify, "_rodrigues_row", corrupted)
         report = verify_replay(5, (Fraction(2), Fraction(1, 2)))
         assert report.status == "fail"
         assert report.counterexample.params == {"n": 2, "lambda": "1/2", "check": "replay"}
+        target = scale_argument(legendre_bonnet(2), Fraction(1, 2))  # the replay, uncorrupted
+        assert [list(report.counterexample.lhs), list(report.counterexample.rhs)] == _dumps(target + Poly.one(), target)
+
+    # One entry of one integer row corrupted at two cases: the report names
+    # the earlier one and dumps the `Poly` values the sweeps compared before
+    # they compared rows.
+
+    def test_first_failure_eq9_basis_row(self, monkeypatch):
+        real = legscale.verify._basis_rows
+
+        def corrupted(form, n, rows):  # d P_{n-1} + x^(n-2) / 2^n
+            basis = real(form, n, rows)
+            if n in (4, 6):
+                basis[1][1] += 1
+            return basis
+
+        monkeypatch.setattr(legscale.verify, "_basis_rows", corrupted)
+        lam, n = Fraction(1, 2), 4
+        report = verify_scaling_identity(8, (lam, Fraction(2)), FORM_DERIVATIVE)
+        assert report.status == "fail" and report.cases == 4 * 2 + 1
+        assert report.counterexample.params == {"n": 4, "lambda": "1/2", "check": "reconstruction"}
+        parts = list(expansion_basis(FORM_DERIVATIVE, n))
+        parts[1] = parts[1] + Poly.monomial(n - 2, Fraction(1, 2 ** n))
+        rebuilt = _poly_sum(expand_derivative_form(lam, n).coeffs, parts)
+        expected = _dumps(rebuilt, scale_argument(legendre_bonnet(n), lam))
+        assert [list(report.counterexample.lhs), list(report.counterexample.rhs)] == expected
+
+    def test_first_failure_eq13_target_row(self, monkeypatch):
+        real, bad_cases = legscale.verify._scaled_row, {(2, Fraction(1, 2)), (3, Fraction(2))}
+
+        def corrupted(row, n, p, q):  # P_n(lam x) + x^n
+            target, den = real(row, n, p, q)
+            return ([target[0] + den] + target[1:], den) if (n, Fraction(p, q)) in bad_cases else (target, den)
+
+        monkeypatch.setattr(legscale.verify, "_scaled_row", corrupted)
+        lam, n = Fraction(1, 2), 2
+        report = verify_scaling_identity(5, (Fraction(2), lam), FORM_LEGENDRE)
+        assert report.status == "fail" and report.cases == 2 * 2 + 2
+        assert report.counterexample.params == {"n": 2, "lambda": "1/2", "check": "reconstruction"}
+        rebuilt = _poly_sum(expand_legendre_form(lam, n).coeffs, expansion_basis(FORM_LEGENDRE, n))
+        target = scale_argument(legendre_bonnet(n), lam) + Poly.monomial(n)
+        assert [list(report.counterexample.lhs), list(report.counterexample.rhs)] == _dumps(rebuilt, target)
 
 
 class TestRandomLambdas:
