@@ -185,8 +185,8 @@ def murphy_deriv_series(n: int, k: int) -> Tuple[Fraction, ...]:
 
 def _z_step(nums: List[int]) -> List[int]:
     """One d/dx on the numerators of a polynomial in powers of z = (1-x)/2 (as
-    `verify._z_form` writes it): d/dx = -1/2 d/dz, so c_j becomes
-    -(j+1) c_{j+1}, over twice the denominator. O(n)."""
+    `verify._z_form` writes P_n from its Bonnet row): d/dx = -1/2 d/dz, so
+    c_j becomes -(j+1) c_{j+1}, over twice the denominator. O(n)."""
     return [-j * c for j, c in enumerate(nums) if j]
 
 

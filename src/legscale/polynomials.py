@@ -5,13 +5,14 @@ Rodrigues' formula, the derivation replay's integer core at lam = 1;
 terminating Gauss series), together with the formal operations every
 identity check rests on: differentiation, argument scaling, the exact inner
 product on [-1, 1], projection onto the Legendre basis and the scaling
-expansions' bases (both read a walk of the Bonnet rows, not a cache), and
-the integer linear combination of polynomials. A `Poly` holds int
-numerators over one denominator, so all of these run in Python integers;
-Fractions are built only where values leave a polynomial. The bases
-(`_basis_rows`) and the Rodrigues construction (`_rodrigues_row`) are built
-as integer rows laid out as the Bonnet rows are, which `verify` compares
-without building a `Poly`; the public functions wrap them in one.
+expansions' bases (both read a walk of the Bonnet rows, not a cache). A
+`Poly` holds int numerators over one denominator, so all of these run in
+Python integers; Fractions are built only where values leave a polynomial.
+The bases (`_basis_rows`), the derivatives of a row (`_derived_row`) and the
+Rodrigues construction (`_rodrigues_row`) are built as integer rows laid
+out as the Bonnet rows are (entry i at x^(m-2i); `_dense` reads one as
+x^0 ... x^m), which `verify` compares without building a `Poly`; the
+public functions wrap them in one.
 """
 
 from __future__ import annotations
@@ -329,13 +330,18 @@ def _bonnet_rows() -> Iterator[List[int]]:
         prev, cur = cur, [(a * c - b * d) // m for c, d in zip(cur + [0], [0] + prev)]
 
 
+def _dense(m: int, row: List[int]) -> List[int]:
+    """The x^0 ... x^m numerators of a row laid out as the Bonnet rows are (entry
+    i at x^(m-2i)); a short row's missing entries read as 0, a long one's past x^0 drop."""
+    dense = [0] * (m + 1)
+    dense[m::-2] = (row + dense)[: m // 2 + 1]
+    return dense
+
+
 def _bonnet_poly(m: int, row: List[int], den: int = 0) -> Poly:
     """P_m from row m of `_bonnet_rows`: the row's entries over 2^m. With a
-    nonzero `den`, any row laid out as the Bonnet rows are (entry i at
-    x^(m-2i)), over `den`."""
-    dense = [0] * (m + 1)
-    dense[m::-2] = row
-    return Poly._of(dense, den or 2 ** m)
+    nonzero `den`, any row laid out as the Bonnet rows are, over `den`."""
+    return Poly._of(_dense(m, row), den or 2 ** m)
 
 
 @lru_cache(maxsize=BONNET_CACHE_SIZE)
@@ -360,14 +366,19 @@ def _basis_rows(form: str, n: int, rows: Sequence[List[int]]) -> List[List[int]]
     (entry i at x^(n-2i)); row k is zero before entry k. Legendre form:
     P_{n-2k} = R_{n-2k} / 2^(n-2k), so entry i is 4^k R_{n-2k}[i-k].
     Derivative form: d^k sends the x^(n-k-2j) term of P_{n-k} to x^(n-2i),
-    i = j+k, times perm(n+k-2i, k), so entry i is 2^k perm(n+k-2i, k)
-    R_{n-k}[i-k]; the terms below x^k, which d^k kills, would lie past
-    i = n/2 and are cut."""
+    i = j+k, so entry i is 2^k times entry i-k of `_derived_row(R_{n-k},
+    n-k, k)`."""
     h = n // 2
     if form == FORM_DERIVATIVE:
-        return [[0] * k + [c * perm(n + k - 2 * i, k) << k for i, c in enumerate(rows[n - k][: h - k + 1], k)]
-                for k in range(h + 1)]
+        return [[0] * k + [c << k for c in _derived_row(rows[n - k], n - k, k)] for k in range(h + 1)]
     return [[0] * k + [c << 2 * k for c in rows[n - 2 * k]] for k in range(h + 1)]
+
+
+def _derived_row(row: List[int], n: int, k: int) -> List[int]:
+    """d^k of a row of degree n laid out as the Bonnet rows are: entry j, at
+    x^(n-k-2j), is row[j] perm(n-2j, k) over the row's own denominator. The
+    terms below x^k, which d^k kills, are cut, so the result is [] past k = n."""
+    return [c * perm(n - 2 * j, k) for j, c in enumerate(row[: max(n - k + 2, 0) // 2])]
 
 
 def expansion_basis(form: str, n: int) -> Tuple[Poly, ...]:
@@ -520,28 +531,17 @@ def project_to_legendre(p: Poly) -> LegendreSeries:
     return LegendreSeries._of((m, Fraction(num, den)) for m, num, den in _projection(p._nums, p._den, _bonnet_rows()))
 
 
-def _combination(weights: Iterable[Tuple[int, int]], parts: Sequence[Poly]) -> Poly:
-    """sum_k (p_k/q_k) * parts[k] for weights (p_k, q_k) of ints, q_k > 0 and
-    not necessarily reduced, summed in ints over one common denominator.
-
-    With parts[k] = N_k/D_k, term k is p_k N_k / (q_k D_k); every term is
-    brought to the lcm of the q_k D_k and one Poly is normalised at the end.
-    Zero weights are skipped.
-    """
-    terms = [(p, q * part._den, part._nums) for (p, q), part in zip(weights, parts) if p]
-    common = lcm(*(den for _, den, _ in terms))
-    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
-    for p, den, nums in terms:
-        scale = p * (common // den)
-        for m, c in enumerate(nums):
-            acc[m] += scale * c
-    return Poly._of(acc, common)
-
-
 def to_poly(series: LegendreSeries) -> Poly:
-    """Rebuild sum_m c_m * P_m as a dense polynomial: one integer combination of
-    the P_m read from one walk of the Bonnet rows up to the top degree."""
-    terms = series._terms  # ascending degrees
-    rows = zip(range(max(terms, default=-1) + 1), _bonnet_rows())
-    weights = [(c.numerator, c.denominator) for c in terms.values()]
-    return _combination(weights, [_bonnet_poly(m, row) for m, row in rows if m in terms])
+    """Rebuild sum_m c_m * P_m as a dense polynomial: with L the lcm of the
+    denominators of the c_m and t the top degree, term m adds c_m L 2^(t-m)
+    times row m of one walk of the Bonnet rows, R_m = 2^m P_m, over L 2^t."""
+    terms = series._terms
+    top = max(terms, default=0)
+    common = lcm(*(c.denominator for c in terms.values()))
+    acc = [0] * (top + 1)
+    for m, row in zip(range(top + 1), _bonnet_rows()):
+        if m in terms:
+            scale = terms[m].numerator * (common // terms[m].denominator) << top - m
+            for i, c in enumerate(row):
+                acc[m - 2 * i] += scale * c
+    return Poly._of(acc, common << top)

@@ -8,14 +8,14 @@ the public whole-expansion functions wrap, never from the scalar coefficient
 formulas (`a_coefficient`, `b_coefficient`, `alpha_*`); eq13's untruncated
 depth terms come from Doha's k = 0 row, and the replay is the Rodrigues core
 `legendre_rodrigues` shares. The target side is built from polynomial
-primitives alone. eq9, eq13 and the replay compare integer rows read from
-one walk of the Bonnet rows, each n's basis shared by every lambda; the
-derivative pass steps the telescoping alphas and eq24-rows' z-form of
-d^k P_n from k-1 to k. One driver records each suite's first failing case
-in sweep order with full coefficient dumps of both sides: an
-index-convention slip is the likeliest failure, and raw dumps localize it.
-A passing case builds no Fraction, and a `Poly` only for eq19's
-comparison with the formal derivative.
+primitives alone. Every sweep compares integer rows read from one walk of
+the Bonnet rows by `_row_mismatch`: eq9, eq13 (each n's basis shared by
+every lambda) and eq19 (d^k P_n from the basis of degree n-k) rebuild by
+`_rebuild`. The derivative pass steps the telescoping alphas and eq24-rows'
+z-form of d^k P_n from k-1 to k. One loop, `_report`, records each suite's
+first failing case in sweep order with full coefficient dumps of both
+sides: an index-convention slip is the likeliest failure, and raw dumps
+localize it. A passing case builds no Fraction and no `Poly`.
 
 The `verify` command lives here beside the sweeps and writes its reports as
 JSON text. Its `cli` names and the derivative routes are imported where they
@@ -32,8 +32,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polynomials import (
-    Poly, _basis_rows, _bonnet_poly, _bonnet_rows, _combination, _projection, _rodrigues_row, _scaled_row,
-    differentiate,
+    Poly, _basis_rows, _bonnet_poly, _bonnet_rows, _dense, _derived_row, _projection, _rodrigues_row, _scaled_row,
 )
 from .rationals import RationalLike, Record, as_rational, format_rational
 from .scaling import FORM_DERIVATIVE, FORM_LEGENDRE, _derivative_form, _doha_alphas, _legendre_form
@@ -118,20 +117,23 @@ class VerificationReport(Record):
         }
 
 
-def _poly_mismatch(params: Dict[str, object], claimed: Poly, target: Poly) -> Counterexample:
-    """Both sides' monomial coefficients as strings, zero-padded to a common width."""
-    width = max(len(claimed.coeffs), len(target.coeffs), 1)
-    lhs, rhs = (tuple(format_rational(p.coefficient(m)) for m in range(width)) for p in (claimed, target))
+def _row_mismatch(params: Dict[str, object], m: int, claimed, target) -> Optional[Counterexample]:
+    """None if two (row, denominator) pairs of degree m, laid out as the Bonnet
+    rows are, have equal lengths and agree (by cross-multiplying); else both
+    sides' monomial coefficients as strings, zero-padded to a common width."""
+    (nums, den), (nums2, den2) = claimed, target
+    if len(nums) == len(nums2) and all(c * den2 == t * den for c, t in zip(nums, nums2)):
+        return None
+    polys = [_bonnet_poly(m, *side) for side in (claimed, target)]
+    width = max(len(polys[0].coeffs), len(polys[1].coeffs), 1)
+    lhs, rhs = (tuple(format_rational(p.coefficient(j)) for j in range(width)) for p in polys)
     return Counterexample(params, lhs, rhs)
 
 
-def _row_mismatch(n, lam, check, claimed, target):
-    """None if two (row, denominator) pairs of degree n, laid out as the Bonnet
-    rows are, agree (by cross-multiplying); else both sides' dump."""
-    (nums, den), (nums2, den2) = claimed, target
-    if all(c * den2 == t * den for c, t in zip(nums, nums2)):
-        return None
-    return _poly_mismatch(_lambda_params(n, lam, check), _bonnet_poly(n, *claimed), _bonnet_poly(n, *target))
+def _rebuild(scales: Sequence[int], columns: Iterable[Sequence[int]]) -> List[int]:
+    """sum_k scales[k] times basis row k, by columns (column i: entry i of every
+    row); row k is zero before entry k, so entry i reads rows 0 ... i only."""
+    return [sum(map(mul, scales[: i + 1], column)) for i, column in enumerate(columns)]
 
 
 def _clean_lambdas(lambdas: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
@@ -202,14 +204,12 @@ def verify_scaling_identity(
         target, target_den = _scaled_row(row, n, p, q)
         common = lcm(*(den for _, den in weights))
         scales = [num * (common // den) for num, den in weights]
-        rebuilt = [sum(map(mul, scales, column)) for column in columns]  # over 2^n common
-        mismatch = _row_mismatch(n, lam, "reconstruction", (rebuilt, common << n), (target, target_den))
+        rebuilt = _rebuild(scales, columns), common << n
+        mismatch = _row_mismatch(_lambda_params(n, lam, "reconstruction"), n, rebuilt, (target, target_den))
         if mismatch or not legendre:
             return mismatch
         claimed = [(n - 2 * k, num, den) for k, (num, den) in enumerate(weights) if num][::-1]
-        dense = [0] * (n + 1)  # the target's x^0 ... x^n numerators
-        dense[n::-2] = target
-        projected = _projection(dense, target_den, bonnet_rows)
+        projected = _projection(_dense(n, target), target_den, bonnet_rows)
         if len(claimed) != len(projected) or any(
             m != m2 or num * den2 != num2 * den
             for (m, num, den), (m2, num2, den2) in zip(claimed, projected)
@@ -247,16 +247,15 @@ def _alphas_dump(alphas: Sequence[int], den: int = 1) -> Tuple[str, ...]:
     return tuple(format_rational(Fraction(a, den)) for a in alphas)
 
 
-def _z_form(p: Poly, width: int) -> Tuple[Tuple[int, ...], int]:
-    """Coefficients z^0 ... z^(width-1) of p in powers of z, where x = 1 - 2z,
-    as int numerators over one denominator: with p = sum_m N_m x^m / D,
-    x^m = sum_j C(m,j) (-2z)^j gives the z^j numerator
-    (-2)^j sum_{m>=j} N_m C(m,j) over D, C(m,j) stepped along m by the exact
+def _z_form(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """The z^0 ... z^(len(nums)-1) coefficients, where x = 1 - 2z, of
+    p = sum_m N_m x^m / D for the numerators N_m = nums[m], as int numerators
+    over D: x^m = sum_j C(m,j) (-2z)^j gives the z^j numerator
+    (-2)^j sum_{m>=j} N_m C(m,j), C(m,j) stepped along m by the exact
     C(m+1,j) = C(m,j) (m+1) / (m+1-j).
     """
-    nums, den = p.integer_form
     out = []
-    for j in range(width):
+    for j in range(len(nums)):
         total, binom = 0, 1  # C(m, j) at m = j
         for m in range(j, len(nums)):
             total += nums[m] * binom
@@ -277,18 +276,18 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
 
     telescope = not {"eq19", "eq26-vs-telescoping"}.isdisjoint(subjects)
     solve = not {"eq19", "eq24-rows"}.isdisjoint(subjects)
-    legendre = [_bonnet_poly(m, row) for m, row in enumerate(islice(_bonnet_rows(), n_max + 1))] if solve else []
+    rows = list(islice(_bonnet_rows(), n_max + 1)) if solve else []
     murphy_rows = [_murphy_scaled(m, 0) for m in range(n_max + 1)] if solve else []
 
     def z_row(m):  # eq24-rows' own: P_m in powers of z by substitution
-        nums, den = _z_form(legendre[m], m + 1)
+        nums, den = _z_form(_dense(m, rows[m]), 2 ** m)
         if any(c % den for c in nums):
             raise ArithmeticError(f"P_{m} has a z-coefficient that is not an integer")
         return [c // den for c in nums]
 
     z_rows = [z_row(m) for m in range(n_max + 1)] if "eq24-rows" in subjects else []
 
-    def derivative(n, k, tele, scaled, recur, derived, lhs):  # int alphas: telescoping, 2^k triangular, recurrence
+    def derivative(n, k, tele, scaled, recur, lhs):  # int alphas: telescoping, 2^k triangular, recurrence
         routes = (
             ("triangular", scaled, [a << k for a in tele], 2 ** k),
             ("recurrence", recur, tele, 1),
@@ -301,13 +300,13 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
                     _alphas_dump(tele),
                     _alphas_dump(claimed, den),
                 )
-        parts = [legendre[n - k - 2 * i] for i in range(len(tele))]
-        rebuilt = _combination([(a, 1) for a in tele], parts)
-        if rebuilt != derived:
-            return _poly_mismatch({"n": n, "k": k, "check": "against-derivative"}, rebuilt, derived)
-        return None
+        return _row_mismatch(  # sum_i alpha_i P_{n-k-2i} over 2^(n-k), d^k P_n over 2^n; [] past k = n
+            {"n": n, "k": k, "check": "against-derivative"}, n - k,
+            (_rebuild(tele, zip(*_basis_rows(FORM_LEGENDRE, n - k, rows))), 1 << n >> k),
+            (_derived_row(rows[n], n, k), 1 << n),
+        )
 
-    def surplus(n, k, tele, scaled, recur, derived, lhs):  # lhs: 2^k times the z-form of d^k P_n
+    def surplus(n, k, tele, scaled, recur, lhs):  # lhs: 2^k times the z-form of d^k P_n
         if k > n:
             return False
         big_n = n - k
@@ -323,7 +322,7 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
                 )
         return None
 
-    def recurrence(n, k, tele, scaled, recur, derived, lhs):
+    def recurrence(n, k, tele, scaled, recur, lhs):
         if k > n:
             return False
         if tele != recur:
@@ -342,8 +341,7 @@ def _derivative_reports(n_max: int, subjects: Sequence[str]) -> List[Verificatio
                 if k:  # one step from d^(k-1) P_n
                     tele, lhs = _telescoping_pass(tele, n - k), _z_step(lhs)
                 yield (n, k, tele, _triangular(n, k, murphy_rows) if solve else None,
-                       _alpha_values(n, k, (n - k) // 2) if telescope else None,
-                       differentiate(legendre[n], k) if "eq19" in subjects else None, lhs)
+                       _alpha_values(n, k, (n - k) // 2) if telescope else None, lhs)
 
     checks = {"eq19": derivative, "eq24-rows": surplus, "eq26-vs-telescoping": recurrence}
     return _report(n_max, cases(), {subject: checks[subject] for subject in subjects}, (0, n_max))
@@ -355,9 +353,9 @@ def verify_derivative_identity(n_max: int) -> VerificationReport:
     For every 0 <= k <= n <= n_max the telescoping, triangular,
     closed-recurrence and closed-form cores must agree coefficient by
     coefficient (the triangular one, which holds 2^k alpha, against 2^k times
-    telescoping) and, rebuilt through the Legendre basis, must equal
-    differentiate(P_n, k) exactly. Orders k = n+1, n+2 are also swept: there
-    every route is empty and the derivative the zero polynomial.
+    telescoping) and, rebuilt through the Legendre basis of degree n-k, must
+    equal d^k P_n (`_derived_row` of P_n's Bonnet row) exactly. Orders
+    k = n+1, n+2 are also swept: there every route and row is empty.
     """
     return _derivative_reports(n_max, ("eq19",))[0]
 
@@ -411,7 +409,8 @@ def verify_replay(n_max: int, lambdas: Sequence[RationalLike] = NONZERO_LAMBDAS)
 
     def check(n: int, lam: Fraction) -> Optional[Counterexample]:
         p, q = lam.numerator, lam.denominator
-        return _row_mismatch(n, lam, "replay", _rodrigues_row(p, q, n), _scaled_row(bonnet_rows[n], n, p, q))
+        return _row_mismatch(_lambda_params(n, lam, "replay"), n, _rodrigues_row(p, q, n),
+                             _scaled_row(bonnet_rows[n], n, p, q))
 
     cases = ((n, lam) for n in range(n_max + 1) for lam in values)
     return _report(n_max, cases, {"replay": check}, None, values)[0]

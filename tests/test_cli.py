@@ -421,7 +421,7 @@ class TestVerify:
         ("recurrence", ("all",), "fde86934f88b40d38e6949b6a92afc602d710182588fb17b8ec9c8292c565201",
          "eq9 pass 91|eq13 pass 91|eq19 fail 28|eq24-rows pass 91|eq26-vs-telescoping fail 18|replay pass 78"),
         ("combination", ("eq19", "--format", "csv"),
-         "a4f5522811c6da0a1973f5ea712e445a5b8591b624bd8b4433b4de5faf0c2683", "eq19 fail 13|eq24-rows pass 91"),
+         "02d906bcfef62592b604968e2e87d67efdabce59f3cb9bb31d714ac0c78f7cca", "eq19 fail 13|eq24-rows pass 91"),
     ])
     def test_corruption_seen_by_one_suite_keeps_the_pinned_report(self, capsys, monkeypatch, corruption, argv,
                                                                   digest, err):
@@ -431,20 +431,20 @@ class TestVerify:
         # the pass looks its routes up in `legscale.derivatives`, the rest in `legscale.verify`
         module, name = {
             "z-row": (legscale.verify, "_z_form"), "recurrence": (legscale.derivatives, "_alpha_values"),
-            "combination": (legscale.verify, "_combination"),
+            "combination": (legscale.verify, "_basis_rows"),
         }[corruption]
         real, done = getattr(module, name), []
 
         def corrupted(*args):
             out = real(*args)
-            if corruption == "z-row" and args[1] == 4 and not done:  # eq24-rows' own z-row of P_3, z^2 + 1
+            if corruption == "z-row" and len(args[0]) == 4 and not done:  # eq24-rows' own z-row of P_3, z^2 + 1
                 done.append(args)
                 nums, den = out
                 return nums[:2] + (nums[2] + den,) + nums[3:], den
             if corruption == "recurrence" and args[:2] == (5, 2):
                 return [out[0] + 1] + out[1:]
-            if corruption == "combination" and len(args[1]) == 2 and args[1][0].degree == 3:  # n - k = 3
-                return out + legscale.polynomials.Poly.one()
+            if corruption == "combination" and args[1] == 3:  # the combination's P_3 at n - k = 3, + x
+                out[0][1] += 2 ** 3
             return out
 
         monkeypatch.setattr(module, name, corrupted)
@@ -482,22 +482,35 @@ class TestVerify:
         assert "i/o error" in err
 
     def test_derivative_pass_differentiates_once_a_case(self, capsys, monkeypatch):
-        # eq19's against-derivative check and eq24-rows' left side read one
-        # d^k P_n per case: 273 eq19 cases at n_max 20 (k <= n+2), where a
-        # derivative per subject made 273 + 231. eq26 reads none.
-        real, calls = legscale.verify.differentiate, []
+        # eq19's against-derivative check reads one row of d^k P_n per case:
+        # 273 eq19 cases at n_max 20 (k <= n+2); eq24-rows steps its own left
+        # side, and eq26 reads none.
+        real, calls = legscale.verify._derived_row, []
 
-        def counting(p, k=1):
-            calls.append(k)
-            return real(p, k)
+        def counting(row, n, k):
+            calls.append((n, k))
+            return real(row, n, k)
 
-        monkeypatch.setattr(legscale.verify, "differentiate", counting)
+        monkeypatch.setattr(legscale.verify, "_derived_row", counting)
         code, _, err = run_cli(capsys, "verify", "eq19", "--n-max", "20")
         assert code == 0 and "eq19                    pass  273 cases" in err
-        assert len(calls) == 273
+        assert calls == [(n, k) for n in range(21) for k in range(n + 3)]
         calls.clear()
         assert run_cli(capsys, "verify", "eq26", "--n-max", "20")[0] == 0
         assert calls == []
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "1")], ids=["default", "seeded"])
+    def test_passing_sweeps_build_no_poly(self, capsys, monkeypatch, seed):
+        # Every sweep compares integer rows; a `Poly` is built only to dump a
+        # counterexample, so a passing run never stores one.
+        def refuse(self, nums, den):
+            raise AssertionError("a passing sweep built a Poly")
+
+        monkeypatch.setattr(legscale.polynomials.Poly, "_set", refuse)
+        with pytest.raises(AssertionError):
+            legscale.polynomials.Poly.one()
+        code, _, err = run_cli(capsys, "verify", "all", "--n-max", "16", *seed)
+        assert code == 0 and err.count(" pass ") == 6
 
 
 class TestVerifyJsonText:

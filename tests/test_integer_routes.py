@@ -24,14 +24,16 @@ The derivative pass steps two routes along k: the chain of telescoping
 passes is checked against the whole route, and the stepped z-form of d^k P_n
 against the substitution of the derivative itself; a mutant of either step
 must fail the pass. The integer rows of eq9, eq13 and the replay (the scaled
-Bonnet row, the basis rows, the Rodrigues row) are checked against the
-`Poly` routes they replaced.
+Bonnet row, the basis rows, the Rodrigues row) and eq19's row of d^k P_n
+(`_derived_row`) are checked against the `Poly` routes they replaced, and
+the sum `_rebuild`, which reads rows 0 ... i of column i, against the sum of
+the whole column.
 """
 
 import json
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -72,9 +74,11 @@ from legscale import (
 from legscale.cli import main
 from legscale.derivatives import _alpha_values, _murphy_scaled, _telescoping, _telescoping_pass, _triangular, _z_step
 from legscale.rationals import as_rational, format_rational
-from legscale.polynomials import _basis_rows, _bonnet_poly, _bonnet_rows, _projection, _rodrigues_row, _scaled_row
+from legscale.polynomials import (
+    _basis_rows, _bonnet_poly, _bonnet_rows, _dense, _derived_row, _projection, _rodrigues_row, _scaled_row,
+)
 from legscale.scaling import _a_rows, _basis_values, _derivative_form, _doha_alphas, _legendre_form
-from legscale.verify import _combination, _z_form
+from legscale.verify import _rebuild, _z_form
 
 # --- reference models ---
 
@@ -295,14 +299,20 @@ def ref_scaled_rodrigues(p: int, q: int, n: int) -> Poly:
 # --- agreement ---
 
 
-def pairs(coeffs):
-    """Fractions as the (numerator, denominator) weights `_combination` takes."""
-    return [(c.numerator, c.denominator) for c in coeffs]
+def rebuilt_poly(form, n, coeffs):
+    """sum_k coeffs[k] times basis row k as eq9/eq13 rebuild it: `_rebuild` of
+    the integer weights over their lcm L, the row over 2^n L."""
+    common = lcm(*(c.denominator for c in coeffs))
+    scales = [c.numerator * (common // c.denominator) for c in coeffs]
+    columns = list(zip(*_basis_rows(form, n, list(islice(_bonnet_rows(), n + 1)))))
+    return _bonnet_poly(n, _rebuild(scales, columns), common << n)
 
 
 def z_fractions(p: Poly, width: int):
-    nums, den = _z_form(p, width)
-    return tuple(Fraction(c, den) for c in nums)
+    """`_z_form` of p's numerators, zero-padded to `width` entries."""
+    nums, den = p.integer_form
+    out, den = _z_form(list(nums) + [0] * (width - len(nums)), den)
+    return tuple(Fraction(c, den) for c in out)
 
 
 def test_z_substitution_of_bonnet_polynomials():
@@ -435,7 +445,10 @@ def test_reconstruction_matches_poly_sums(form):
         parts = expansion_basis(form, n)
         for lam in lambdas:
             coeffs = expand(lam, n).coeffs
-            assert _combination(pairs(coeffs), parts) == ref_combination(coeffs, parts), (n, lam)
+            expected = ref_combination(coeffs, parts)
+            assert rebuilt_poly(form, n, coeffs) == expected, (n, lam)
+            if form == FORM_LEGENDRE:  # sum_k b_k P_{n-2k}, a series `to_poly` rebuilds
+                assert to_poly(LegendreSeries(zip(range(n, -1, -2), coeffs))) == expected, (n, lam)
 
 
 @given(
@@ -448,8 +461,10 @@ def test_reconstruction_of_drawn_weights(n, form, data):
     # Drawn weights, zeros among them, so terms cancel and denominators mix.
     weight = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=15))
     coeffs = data.draw(st.lists(weight, min_size=n // 2 + 1, max_size=n // 2 + 1))
-    parts = expansion_basis(form, n)
-    assert _combination(pairs(coeffs), parts) == ref_combination(coeffs, parts)
+    assert rebuilt_poly(form, n, coeffs) == ref_combination(coeffs, expansion_basis(form, n))
+    # the same weights on P_0 ... P_(n/2), zeros among them, through `to_poly`'s own row walk
+    legendre = [legendre_bonnet(m) for m in range(len(coeffs))]
+    assert to_poly(LegendreSeries(enumerate(coeffs))) == ref_combination(coeffs, legendre)
 
 
 @pytest.mark.parametrize(
@@ -518,15 +533,18 @@ def test_derivative_wrappers_match_their_cores():
 
 def test_z_form_steps_match_the_comb_formula():
     # _z_form steps C(m, j) -> C(m+1, j) exactly; the z^j numerator is
-    # (-2)^j sum_{m>=j} N_m C(m, j) over the polynomial's own denominator.
+    # (-2)^j sum_{m>=j} N_m C(m, j) over the polynomial's own denominator,
+    # reduced or, as the pass hands over P_m's Bonnet row, over 2^m.
     # `_murphy_scaled(m, 0)`, the z-row the triangular solve reads, steps
     # (-1)^j C(m, j) C(m+j, j) by its ratio and must match it term by term.
-    for m in range(61):
+    for m, row in zip(range(61), _bonnet_rows()):
         nums, den = legendre_bonnet(m).integer_form
         expected = tuple(
             (-2) ** j * sum(c * comb(i, j) for i, c in enumerate(nums[j:], j)) for j in range(m + 1)
         )
-        assert _z_form(legendre_bonnet(m), m + 1) == (expected, den), m
+        assert _z_form(nums, den) == (expected, den), m
+        scale = 2 ** m // den
+        assert _z_form(_dense(m, row), 2 ** m) == (tuple(c * scale for c in expected), 2 ** m), m
         assert _murphy_scaled(m, 0) == [(-1) ** j * comb(m, j) * comb(m + j, j) for j in range(m + 1)], m
 
 
@@ -708,14 +726,14 @@ def test_stepped_z_form_matches_the_substituted_derivative():
     # holds 2^k times the z-form of d^k P_n, substituted afresh here.
     for n in range(31):
         p_n = legendre_bonnet(n)
-        nums, den = _z_form(p_n, n + 1)
+        nums, den = _z_form(*p_n.integer_form)
         lhs = [c // den for c in nums]  # P_n's z-row: integers
         assert [c * den for c in lhs] == list(nums), n
         for k in range(n + 3):
             if k:
                 lhs = _z_step(lhs)
             derived = differentiate(p_n, k)
-            nums, den = _z_form(derived, n - k + 1)  # no entries past k = n
+            nums, den = _z_form(*derived.integer_form)  # no entries past k = n
             assert [c * den for c in lhs] == [c << k for c in nums], (n, k)
             assert tuple(Fraction(c, 2 ** k) for c in lhs) == ref_z_coeffs(derived, n - k + 1), (n, k)
 
@@ -742,7 +760,7 @@ def test_the_pass_steps_instead_of_restarting(capsys, monkeypatch):
     assert main(["verify", "eq19", "--n-max", "20"]) == 0
     capsys.readouterr()
     assert calls["_telescoping"] == []
-    assert [(p.degree, width) for p, width in calls["_z_form"]] == [(m, m + 1) for m in range(21)] * 2
+    assert [(len(nums), den) for nums, den in calls["_z_form"]] == [(m + 1, 2 ** m) for m in range(21)] * 2
 
 
 @pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
@@ -754,6 +772,44 @@ def test_rows_match_the_poly_routes_they_replace(lam):
         assert _bonnet_poly(n, *_scaled_row(row, n, p, q)) == scale_argument(legendre_bonnet(n), lam), n
         if p:
             assert _bonnet_poly(n, *_rodrigues_row(p, q, n)) == ref_scaled_rodrigues(p, q, n), n
+
+
+def test_rows_of_unequal_length_are_a_mismatch():
+    # A row is read densely as it is laid out, zeros where a short row ends; a long
+    # row's entries past x^0 have no slot. Either one fails the comparison, and dumps.
+    assert _dense(4, [6, -5, 1]) == [1, 0, -5, 0, 6] and _dense(5, [7, 3]) == [0, 0, 0, 3, 0, 7]
+    assert _dense(4, [6]) == [0, 0, 0, 0, 6] and _dense(1, [2, 0]) == [0, 2] and _dense(0, []) == [0]
+    mismatch, params = legscale.verify._row_mismatch, {"n": 2, "check": "row"}
+    assert mismatch(params, 2, ([6, -2], 4), ([3, -1], 2)) is None
+    short = mismatch(params, 2, ([6], 4), ([6, -2], 4))  # P_2 without its x^0 term
+    assert (short.params, short.lhs, short.rhs) == (params, ("0", "0", "3/2"), ("-1/2", "0", "3/2"))
+    long = mismatch(params, 1, ([2, 0], 2), ([2], 2))  # x with a zero past x^0
+    assert (long.lhs, long.rhs) == (("0", "1"), ("0", "1"))
+
+
+def test_derived_row_matches_differentiate():
+    # eq19's target and the derivative-form basis: d^k of a Bonnet row, over 2^n;
+    # past k = n the row is empty and the derivative zero.
+    for n, row in zip(range(41), _bonnet_rows()):
+        for k in range(n + 3):
+            derived = _derived_row(row, n, k)
+            assert len(derived) == max(0, (n - k) // 2 + 1), (n, k)
+            assert _bonnet_poly(n - k, derived, 2 ** n) == differentiate(legendre_bonnet(n), k), (n, k)
+
+
+@pytest.mark.parametrize("lam", COMPOSITION_LAMBDAS, ids=str)
+@pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
+def test_rebuild_skips_only_the_zero_heads(form, lam):
+    # Row k of a basis is zero before entry k: the sum over rows 0 ... i of
+    # column i equals the sum over the whole column.
+    p, q = lam.numerator, lam.denominator
+    rows = list(islice(_bonnet_rows(), 41))
+    for n in range(41):
+        weights = list((_derivative_form if form == FORM_DERIVATIVE else _legendre_form)(p, q, n))
+        common = lcm(*(den for _, den in weights))
+        scales = [num * (common // den) for num, den in weights]
+        columns = list(zip(*_basis_rows(form, n, rows)))
+        assert _rebuild(scales, columns) == [sum(c * s for c, s in zip(column, scales)) for column in columns], n
 
 
 @pytest.mark.parametrize("form", [FORM_DERIVATIVE, FORM_LEGENDRE])
